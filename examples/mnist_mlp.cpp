@@ -30,12 +30,12 @@
 // timeline. See docs/OBSERVABILITY.md.
 //
 // --workers=N (N > 1) switches to fault-tolerant data-parallel training:
-// N replica workers over disjoint dataset shards with a ring all-reduce,
-// sharded checkpoints under --shard-dir (default dist_ckpt), and the
-// distributed rollback protocol from docs/ROBUSTNESS.md. --inject-fault takes
-// the deterministic drill grammar ("kill@R:S,corrupt@R:S,corrupt-shard@R:S,
-// corrupt-msg@R:N,drop@R:N,delay@R:S:MS"), applied to the first epoch only so
-// later epochs demonstrate fault-free recovery from the degraded state.
+// N replica workers over disjoint dataset shards with a shared-memory
+// all-reduce, sharded checkpoints under --shard-dir (default dist_ckpt), and
+// the distributed rollback protocol from docs/ROBUSTNESS.md. --inject-fault
+// takes the deterministic drill grammar ("kill@R:S,corrupt@R:S,
+// corrupt-shard@R:S,delay@R:S:MS"), applied to the first epoch only so later
+// epochs demonstrate fault-free recovery from the degraded state.
 
 #include <cstdio>
 #include <memory>
@@ -191,11 +191,9 @@ int main(int argc, char** argv) {
           0) {
         std::printf(
             "          injected: %d kills, %d corrupt grads, %d corrupt "
-            "shards; repaired %lld dropped / %lld corrupted messages\n",
+            "shards\n",
             stats.faults_killed, stats.faults_grad_corrupted,
-            stats.faults_shard_corrupted,
-            static_cast<long long>(stats.messages_dropped),
-            static_cast<long long>(stats.checksum_failures));
+            stats.faults_shard_corrupted);
       }
     }
     print_router_summary(router);

@@ -2,18 +2,31 @@
 
 #include <algorithm>
 
+#include "nn/checkpoint_io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace apa::dist {
 
 namespace {
 constexpr auto kPollSlice = std::chrono::milliseconds(5);
+
+/// Trace flow id pairing a published contribution with its consumption; the
+/// consumer derives it from the publisher's rank alone.
+std::uint64_t contribution_flow_id(int rank, index_t step,
+                                   std::uint64_t rewind_round) {
+  std::uint64_t hash = nn::ckpt::fnv1a(&rank, sizeof(rank));
+  hash = nn::ckpt::fnv1a(&step, sizeof(step), hash);
+  hash = nn::ckpt::fnv1a(&rewind_round, sizeof(rewind_round), hash);
+  return hash != 0 ? hash : 1;
+}
 }  // namespace
 
 ControlBlock::ControlBlock(int num_workers, double heartbeat_timeout_s)
     : num_workers_(num_workers),
       heartbeat_timeout_s_(heartbeat_timeout_s),
       alive_(static_cast<std::size_t>(num_workers), true),
+      contributions_(static_cast<std::size_t>(num_workers), nullptr),
       rewind_joined_(static_cast<std::size_t>(num_workers), false),
       rewind_proposal_(static_cast<std::size_t>(num_workers), -1),
       start_(std::chrono::steady_clock::now()) {
@@ -200,8 +213,8 @@ BarrierResult ControlBlock::barrier(int rank, std::uint64_t tag,
       --barrier_.arrived;
       return BarrierResult::kRewind;
     }
-    // Deaths may have been recorded by other threads (collective timeout →
-    // mark_dead) — re-check arrival count against the *current* live set so
+    // Deaths may have been recorded by other threads (mark_dead, or an
+    // expulsion by a peer waiting in the all-reduce) — re-check arrival count against the *current* live set so
     // the barrier completes over the survivors instead of waiting forever.
     expel_stale_locked();
     if (barrier_.arrived >= live_count_locked()) {
@@ -221,6 +234,93 @@ BarrierResult ControlBlock::barrier(int rank, std::uint64_t tag,
   return membership_version_ == entry_membership
              ? BarrierResult::kOk
              : BarrierResult::kMembershipChanged;
+}
+
+bool ControlBlock::all_live_contributed_locked() const {
+  for (int r = 0; r < num_workers_; ++r) {
+    const auto idx = static_cast<std::size_t>(r);
+    if (alive_[idx] && contributions_[idx] == nullptr) return false;
+  }
+  return true;
+}
+
+void ControlBlock::reduce_locked(int consumer, index_t step) {
+  // Ascending rank order, the same on every call: ((c0 + c1) + c2) * (1/n).
+  int n = 0;
+  for (int r = 0; r < num_workers_; ++r) {
+    if (!alive_[static_cast<std::size_t>(r)]) continue;
+    const std::vector<float>& in = *contributions_[static_cast<std::size_t>(r)];
+    if (n == 0) {
+      reduced_.assign(in.begin(), in.end());
+    } else {
+      if (in.size() != reduced_.size()) {
+        abort_locked(ErrorCode::kPrecondition,
+                     "all-reduce contributions disagree on length");
+        return;
+      }
+      for (std::size_t i = 0; i < reduced_.size(); ++i) reduced_[i] += in[i];
+    }
+    if (r != consumer) {
+      APA_TRACE_FLOW_IN("dist.contribution",
+                        contribution_flow_id(r, step, rewind_round_));
+    }
+    ++n;
+  }
+  const float inv = 1.0f / static_cast<float>(n);
+  for (float& x : reduced_) x *= inv;
+  std::fill(contributions_.begin(), contributions_.end(), nullptr);
+  ++reduce_generation_;
+  cv_.notify_all();
+}
+
+CollectiveStatus ControlBlock::allreduce_mean(int rank,
+                                              std::vector<float>& data,
+                                              index_t step, double timeout_s) {
+  APA_TRACE_SCOPE("dist.allreduce");
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  const auto idx = static_cast<std::size_t>(rank);
+  MutexLock lock(mu_);
+  if (aborted_ || !alive_[idx]) return CollectiveStatus::kAborted;
+  if (rewind_active_) return CollectiveStatus::kRewindRequested;
+  if (live_count_locked() == 1) return CollectiveStatus::kOk;  // mean of one
+
+  contributions_[idx] = &data;
+  const std::uint64_t my_generation = reduce_generation_;
+  bool published = false;
+  while (reduce_generation_ == my_generation) {
+    // Waiting is legitimate liveness (see barrier()); stale peers are expelled
+    // so the round completes over the survivors.
+    heartbeat(rank);
+    expel_stale_locked();
+    CollectiveStatus withdraw = CollectiveStatus::kOk;
+    if (aborted_ || !alive_[idx]) {
+      withdraw = CollectiveStatus::kAborted;
+    } else if (rewind_active_) {
+      withdraw = CollectiveStatus::kRewindRequested;
+    } else if (all_live_contributed_locked()) {
+      reduce_locked(rank, step);  // completes the round, or aborts the run
+      continue;
+    } else if (std::chrono::steady_clock::now() >= deadline) {
+      abort_locked(ErrorCode::kDiverged,
+                   "all-reduce timed out with no stale heartbeat to blame");
+      withdraw = CollectiveStatus::kAborted;
+    }
+    if (withdraw != CollectiveStatus::kOk) {
+      contributions_[idx] = nullptr;
+      return withdraw;
+    }
+    if (!published) {
+      APA_TRACE_FLOW_OUT("dist.contribution",
+                         contribution_flow_id(rank, step, rewind_round_));
+      published = true;
+    }
+    cv_.wait_for(mu_, kPollSlice);
+  }
+  // A live caller's next contribution is needed before reduced_ can change.
+  if (!alive_[idx]) return CollectiveStatus::kAborted;
+  std::copy(reduced_.begin(), reduced_.end(), data.begin());
+  return CollectiveStatus::kOk;
 }
 
 void ControlBlock::propose_rewind(int rank, index_t restorable_step) {

@@ -1,7 +1,8 @@
 #pragma once
 // Control plane shared by the data-parallel workers: live-set membership with
 // heartbeat-based death detection, a generic barrier that can *expel* workers
-// whose heartbeats go stale instead of deadlocking on them, and the two-phase
+// whose heartbeats go stale instead of deadlocking on them, the gradient
+// all-reduce (the same barrier carrying a payload), and the two-phase
 // "rewind to step K" protocol that makes divergence rollback distributed-
 // consistent:
 //
@@ -19,6 +20,9 @@
 // atomic heartbeat stamps readable without the lock). Workers never block on a
 // dead peer: every wait re-checks heartbeat staleness and shrinks the live
 // set, so a kill mid-barrier degrades the worker set rather than hanging it.
+// The workers are threads of one process, so a contribution cannot be lost or
+// corrupted in flight: the all-reduce reads each worker's buffer in place and
+// needs no message checksums, resends or timeouts per hop.
 
 #include <atomic>
 #include <chrono>
@@ -36,9 +40,16 @@ namespace apa::dist {
 
 enum class BarrierResult {
   kOk,            ///< all (still-)live workers arrived
-  kMembershipChanged,  ///< a peer was expelled while waiting; caller re-forms the ring
+  kMembershipChanged,  ///< a peer was expelled while waiting; caller redoes its round
   kRewind,        ///< a rewind proposal is pending; caller joins it instead
   kAborted,       ///< unrecoverable failure elsewhere; caller unwinds
+};
+
+/// Outcome of ControlBlock::allreduce_mean.
+enum class CollectiveStatus {
+  kOk,               ///< data now holds the mean over the live set
+  kRewindRequested,  ///< a rewind round started; join it before anything else
+  kAborted,          ///< run poisoned, or the caller was expelled; unwind
 };
 
 /// Outcome of a completed rewind round, as published by the coordinator.
@@ -61,8 +72,8 @@ class ControlBlock {
   /// set and later detect (via barrier) that the layout went stale.
   std::uint64_t live_snapshot(std::vector<int>* ranks) const
       APAMM_EXCLUDES(mu_);
-  /// Monotonic counter bumped on every expulsion; messages carry it so chunks
-  /// from a pre-death ring layout are discarded instead of misassembled.
+  /// Monotonic counter bumped on every expulsion; workers re-shard when it
+  /// moves, and checkpoint rounds anchor their shard layout to it.
   [[nodiscard]] std::uint64_t membership_version() const APAMM_EXCLUDES(mu_);
   /// Lowest live rank. Coordinator for manifest writes and rewind decisions.
   [[nodiscard]] int coordinator() const APAMM_EXCLUDES(mu_);
@@ -95,15 +106,26 @@ class ControlBlock {
                         std::uint64_t expected_membership = kEntryMembership)
       APAMM_EXCLUDES(mu_);
 
+  // -- all-reduce -----------------------------------------------------------
+  /// In place: data -> elementwise mean over the live workers' `data` (all
+  /// equal length; every worker passes the same `step`, which names the
+  /// contribution's trace flow). Each caller publishes its buffer; the last
+  /// live arriver sums the live contributions in ascending rank order, scales
+  /// by 1/n, and every caller copies that one result, so all replicas get
+  /// bit-identical bytes. A peer expelled while others wait is left out of the
+  /// sum. A pending rewind or an abort withdraws the caller's contribution
+  /// (kRewindRequested / kAborted). Times out like barrier().
+  CollectiveStatus allreduce_mean(int rank, std::vector<float>& data,
+                                  index_t step, double timeout_s)
+      APAMM_EXCLUDES(mu_);
+
   // -- two-phase rewind -----------------------------------------------------
   /// Phase-1 entry: publish `restorable_step` (newest step this worker can
   /// restore; -1 if none) and wake everyone. Idempotent per round.
   void propose_rewind(int rank, index_t restorable_step) APAMM_EXCLUDES(mu_);
   [[nodiscard]] bool rewind_pending() const APAMM_EXCLUDES(mu_);
-  /// Completed rewind rounds. The collective folds this into its message tag
-  /// ("era") so chunks from an interrupted pre-rewind collective can never
-  /// alias the replayed one (the replay may use de-risked backends, so the
-  /// replayed bytes are NOT guaranteed equal to the aborted attempt's).
+  /// Completed rewind rounds. Part of each all-reduce contribution's trace
+  /// flow id, so a replayed step's arrows never pair with the aborted try's.
   [[nodiscard]] std::uint64_t rewind_rounds() const APAMM_EXCLUDES(mu_);
 
   /// Joins the current rewind round: waits for all live workers to propose
@@ -129,6 +151,8 @@ class ControlBlock {
   void mark_dead_locked(int rank) APAMM_REQUIRES(mu_);
   int expel_stale_locked() APAMM_REQUIRES(mu_);
   void maybe_close_rewind_locked() APAMM_REQUIRES(mu_);
+  [[nodiscard]] bool all_live_contributed_locked() const APAMM_REQUIRES(mu_);
+  void reduce_locked(int consumer, index_t step) APAMM_REQUIRES(mu_);
   void abort_locked(ErrorCode code, const std::string& what) APAMM_REQUIRES(mu_);
   void check_abort_locked() const APAMM_REQUIRES(mu_);
 
@@ -151,6 +175,12 @@ class ControlBlock {
     std::uint64_t generation = 0;
   };
   BarrierState barrier_ APAMM_GUARDED_BY(mu_);
+
+  // all-reduce state: each caller's buffer, published until the round
+  // completes or the caller withdraws (null = not contributed).
+  std::vector<std::vector<float>*> contributions_ APAMM_GUARDED_BY(mu_);
+  std::vector<float> reduced_ APAMM_GUARDED_BY(mu_);  ///< last round's mean
+  std::uint64_t reduce_generation_ APAMM_GUARDED_BY(mu_) = 0;
 
   // rewind round state.
   std::uint64_t rewind_round_ APAMM_GUARDED_BY(mu_) = 0;  ///< completed rounds

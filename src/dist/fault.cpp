@@ -65,15 +65,6 @@ DistFaultPolicy DistFaultPolicy::parse(const std::string& spec) {
                     "corrupt-shard@RANK:STEP — got '" << clause << "'");
       policy.corrupt_shard_rank = static_cast<int>(parse_long(args[0], clause));
       policy.corrupt_shard_step = parse_long(args[1], clause);
-    } else if (name == "corrupt-msg") {
-      APA_CHECK_MSG(args.size() == 2,
-                    "corrupt-msg@RANK:COUNT — got '" << clause << "'");
-      policy.corrupt_msg_rank = static_cast<int>(parse_long(args[0], clause));
-      policy.corrupt_msg_count = static_cast<int>(parse_long(args[1], clause));
-    } else if (name == "drop") {
-      APA_CHECK_MSG(args.size() == 2, "drop@RANK:COUNT — got '" << clause << "'");
-      policy.drop_rank = static_cast<int>(parse_long(args[0], clause));
-      policy.drop_count = static_cast<int>(parse_long(args[1], clause));
     } else if (name == "delay") {
       APA_CHECK_MSG(args.size() == 3,
                     "delay@RANK:STEP:MILLIS — got '" << clause << "'");
@@ -84,7 +75,7 @@ DistFaultPolicy DistFaultPolicy::parse(const std::string& spec) {
       APA_FAIL(ErrorCode::kPrecondition,
                "unknown fault '" << name << "' in clause '" << clause
                                  << "' (kill, corrupt, corrupt-shard, "
-                                    "corrupt-msg, drop, delay)");
+                                    "delay)");
     }
   }
   return policy;

@@ -1,30 +1,25 @@
 #pragma once
 // Deterministic fault injection for the distributed training stack. A
 // DistFaultPolicy describes *when* each failure mode fires (worker rank +
-// training step, or a message budget); the transport, checkpoint writer, and
-// worker loop consult it at the corresponding points, so every failure path —
-// crash, dropped/corrupted message, corrupted checkpoint shard, slow
-// collective — is exercised by tests and the CI fault drill instead of only
-// being claimed. FaultState accumulates what actually fired, for assertions.
+// training step); the checkpoint writer and worker loop consult it at the
+// corresponding points, so every failure path — crash, corrupted gradient
+// contribution, corrupted checkpoint shard, slow worker — is exercised by
+// tests and the CI fault drill instead of only being claimed. FaultState
+// accumulates what actually fired, for assertions.
 //
 // Spec grammar (comma-separated clauses, e.g. from --inject-fault):
 //   kill@R:S           worker R stops participating (simulated crash) at the
-//                      top of step S — no goodbye message, heartbeat goes
-//                      stale, peers must *detect* the death
+//                      top of step S — no goodbye, heartbeat goes stale,
+//                      peers must *detect* the death
 //   corrupt@R:S        worker R's local gradient contribution is overwritten
 //                      with garbage (1e30) just before the step-S all-reduce
 //   corrupt-shard@R:S  one byte of worker R's checkpoint shard is flipped on
 //                      disk after the step-S commit (caught by the manifest
 //                      checksum at the next rollback, forcing fallback to the
 //                      previous consistent step)
-//   corrupt-msg@R:N    the transport flips a payload byte in the first N data
-//                      messages sent by worker R (caught by the per-message
-//                      checksum, repaired by the resend protocol)
-//   drop@R:N           the transport silently drops the first N data messages
-//                      sent by worker R (repaired by timeout + resend)
-//   delay@R:S:MS       worker R sleeps MS milliseconds before sending its
-//                      step-S collective messages (exercises timeout + retry
-//                      without any message loss)
+//   delay@R:S:MS       worker R sleeps MS milliseconds before publishing its
+//                      step-S contribution (peers wait; below the heartbeat
+//                      window nobody is expelled)
 
 #include <atomic>
 #include <string>
@@ -43,12 +38,6 @@ struct DistFaultPolicy {
   int corrupt_shard_rank = -1;
   index_t corrupt_shard_step = -1;
 
-  int corrupt_msg_rank = -1;
-  int corrupt_msg_count = 0;
-
-  int drop_rank = -1;
-  int drop_count = 0;
-
   int delay_rank = -1;
   index_t delay_step = -1;
   double delay_s = 0;
@@ -56,7 +45,7 @@ struct DistFaultPolicy {
   /// True when any clause is armed.
   [[nodiscard]] bool any() const {
     return kill_rank >= 0 || corrupt_rank >= 0 || corrupt_shard_rank >= 0 ||
-           corrupt_msg_rank >= 0 || drop_rank >= 0 || delay_rank >= 0;
+           delay_rank >= 0;
   }
 
   [[nodiscard]] bool kills(int rank, index_t step) const {
@@ -77,15 +66,12 @@ struct DistFaultPolicy {
   static DistFaultPolicy parse(const std::string& spec);
 };
 
-/// What actually fired during a run. Atomic so transport-level faults can be
-/// recorded from any worker thread.
+/// What actually fired during a run. Atomic so every worker thread can record
+/// its faults.
 struct FaultState {
   std::atomic<int> workers_killed{0};
   std::atomic<int> grads_corrupted{0};
   std::atomic<int> shards_corrupted{0};
-  std::atomic<int> messages_corrupted{0};
-  std::atomic<int> messages_dropped{0};
-  std::atomic<int> sends_delayed{0};
 };
 
 }  // namespace apa::dist

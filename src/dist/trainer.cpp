@@ -13,7 +13,6 @@
 #include "dist/checkpoint.h"
 #include "dist/control.h"
 #include "dist/shard.h"
-#include "dist/transport.h"
 #include "nn/checkpoint.h"
 #include "nn/derisk.h"
 #include "obs/flight.h"
@@ -83,10 +82,6 @@ struct WorkerResult {
   std::uint64_t final_checksum = 0;
   std::int64_t prefetch_hits = 0;
   std::int64_t prefetch_misses = 0;
-  std::int64_t resend_requests = 0;
-  std::int64_t resends_served = 0;
-  std::int64_t checksum_failures = 0;
-  std::int64_t retries = 0;
   int lambda_shrinks = 0;
   bool fell_back_to_classical = false;
 };
@@ -98,7 +93,6 @@ struct DistContext {
       : options(options_in),
         dataset(dataset_in),
         steps_per_epoch(steps_in),
-        transport(options_in.workers, options_in.faults, fault_state),
         control(options_in.workers, options_in.heartbeat_timeout_s),
         faults_fired(fault_state) {
     checksum_slots.reserve(static_cast<std::size_t>(options_in.workers));
@@ -111,7 +105,6 @@ struct DistContext {
   const DistTrainOptions& options;
   const data::Dataset& dataset;
   const index_t steps_per_epoch;
-  LocalTransport transport;
   ControlBlock control;
   FaultState* faults_fired;
 
@@ -131,10 +124,7 @@ class Worker {
         result_(result),
         sink_(ctx.options.rank_telemetry ? ctx.options.rank_telemetry(rank)
                                          : nullptr),
-        loader_(&ctx.dataset, ctx.options.batch, ctx.options.seed),
-        reducer_(rank, &ctx.transport, &ctx.control, ctx.options.collective,
-                 ctx.options.seed ^ (0x517cc1b727220a95ULL *
-                                     static_cast<std::uint64_t>(rank + 1))) {}
+        loader_(&ctx.dataset, ctx.options.batch, ctx.options.seed) {}
 
   void run() {
     try {
@@ -322,7 +312,6 @@ class Worker {
 
     const index_t grad_size = flat_grad_size(model_);
     std::vector<float> flat(static_cast<std::size_t>(grad_size) + 1);
-    std::vector<float> snapshot;
 
     double ewma = 0;
     bool ewma_ready = false;
@@ -337,7 +326,7 @@ class Worker {
 
       if (!kill_fault_fired_ && opts().faults.kills(rank_, step)) {
         // Simulated crash: stop participating with no goodbye. Peers must
-        // detect the death from the stale heartbeat / collective timeout.
+        // detect the death from the stale heartbeat.
         kill_fault_fired_ = true;
         ctx_.faults_fired->workers_killed.fetch_add(1,
                                                     std::memory_order_relaxed);
@@ -376,19 +365,16 @@ class Worker {
       flatten_grads(model_, flat);
       flat[static_cast<std::size_t>(grad_size)] =
           static_cast<float>(local_loss);
-      snapshot = flat;
-
-      CollectiveStatus status;
-      while (true) {
-        status = reducer_.allreduce_mean(flat, step);
-        if (status != CollectiveStatus::kPeerFailure) break;
-        // A peer died mid-collective: re-form the ring over the survivors and
-        // reduce the same local contribution again (re-shard and continue).
-        if (!ctx_.control.is_alive(rank_)) return;
-        resync_shard();
-        flat = snapshot;
-        APA_COUNTER_INC("dist.collective.reformed");
+      if (opts().faults.delays(rank_, step)) {
+        APA_COUNTER_INC("dist.fault.contribution_delayed");
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(opts().faults.delay_s));
       }
+
+      // A peer that dies mid-reduce is left out of the sum; the survivors
+      // re-shard at the top of the next step.
+      const CollectiveStatus status = ctx_.control.allreduce_mean(
+          rank_, flat, step, opts().barrier_timeout_s);
       if (status == CollectiveStatus::kAborted) {
         ctx_.control.check_abort();
         if (!ctx_.control.is_alive(rank_)) return;
@@ -476,10 +462,6 @@ class Worker {
   void collect_stats() {
     result_.prefetch_hits = loader_.prefetch_hits();
     result_.prefetch_misses = loader_.prefetch_misses();
-    result_.resend_requests = reducer_.resend_requests();
-    result_.resends_served = reducer_.resends_served();
-    result_.checksum_failures = reducer_.checksum_failures();
-    result_.retries = reducer_.retries();
     if (sink_ != nullptr) {
       obs::JsonRecord record;
       record.set("type", "dist_worker");
@@ -494,13 +476,6 @@ class Worker {
       record.set("checkpoint_fallbacks", result_.checkpoint_fallbacks);
       record.set("checkpoints_written",
                  static_cast<long long>(result_.checkpoints_written));
-      record.set("resend_requests",
-                 static_cast<long long>(result_.resend_requests));
-      record.set("resends_served",
-                 static_cast<long long>(result_.resends_served));
-      record.set("checksum_failures",
-                 static_cast<long long>(result_.checksum_failures));
-      record.set("retries", static_cast<long long>(result_.retries));
       sink_->write(record);
     }
   }
@@ -511,7 +486,6 @@ class Worker {
   WorkerResult& result_;
   obs::TelemetrySink* sink_;  ///< per-rank JSONL sink (may be null; not owned)
   ShardLoader loader_;
-  RingReducer reducer_;
   std::uint64_t shard_membership_ = 0;
   index_t last_checkpoint_step_ = -1;
   bool kill_fault_fired_ = false;
@@ -538,15 +512,7 @@ void append_dist_epoch_record(obs::TelemetrySink& sink,
              static_cast<long long>(stats.checkpoints_written));
   record.set("final_checkpoint_step",
              static_cast<long long>(stats.final_checkpoint_step));
-  record.set("messages_dropped",
-             static_cast<long long>(stats.messages_dropped));
-  record.set("messages_corrupted",
-             static_cast<long long>(stats.messages_corrupted));
-  record.set("checksum_failures",
-             static_cast<long long>(stats.checksum_failures));
   record.set("resend_requests", static_cast<long long>(stats.resend_requests));
-  record.set("resends_served", static_cast<long long>(stats.resends_served));
-  record.set("retries", static_cast<long long>(stats.retries));
   record.set("prefetch_hits", static_cast<long long>(stats.prefetch_hits));
   record.set("prefetch_misses", static_cast<long long>(stats.prefetch_misses));
   record.set("lambda_shrinks", stats.lambda_shrinks);
@@ -646,16 +612,8 @@ DistEpochStats train_data_parallel(
     }
     stats.prefetch_hits += r.prefetch_hits;
     stats.prefetch_misses += r.prefetch_misses;
-    stats.resend_requests += r.resend_requests;
-    stats.resends_served += r.resends_served;
-    stats.checksum_failures += r.checksum_failures;
-    stats.retries += r.retries;
   }
 
-  stats.messages_dropped =
-      fault_state.messages_dropped.load(std::memory_order_relaxed);
-  stats.messages_corrupted =
-      fault_state.messages_corrupted.load(std::memory_order_relaxed);
   stats.faults_killed =
       fault_state.workers_killed.load(std::memory_order_relaxed);
   stats.faults_grad_corrupted =

@@ -7,9 +7,9 @@
 //
 //   batch   <- async prefetching ShardLoader (pure function of step+shard)
 //   grads   <- model.forward_backward(batch)
-//   mean    <- ring all-reduce over the live workers (plus the local loss as
-//              one extra reduced element, so every worker sees the *global*
-//              mean loss without extra messaging)
+//   mean    <- shared-memory all-reduce over the live workers (plus the
+//              local loss as one extra reduced element, so every worker sees
+//              the *global* mean loss)
 //   detect  <- symmetric anomaly check on the reduced bytes: non-finite or
 //              spiking loss, non-finite or exploding gradient. Identical
 //              bytes => identical verdict on every worker, no votes needed.
@@ -20,7 +20,7 @@
 // all-to-all parameter-checksum exchange.
 //
 // Fault tolerance (see docs/ROBUSTNESS.md for the protocol):
-//   * crash: heartbeat staleness or collective timeout marks the worker dead;
+//   * crash: heartbeat staleness marks the worker dead;
 //     survivors re-shard the data and continue (degradation ladder
 //     N -> N-1 -> ... -> 1; a single survivor is plain single-process SGD),
 //   * divergence / corrupt reduction: two-phase rewind — every live worker
@@ -35,7 +35,6 @@
 #include <string>
 
 #include "data/dataset.h"
-#include "dist/collective.h"
 #include "dist/fault.h"
 #include "nn/mlp.h"
 #include "obs/telemetry.h"
@@ -71,12 +70,11 @@ struct DistTrainOptions {
   double lambda_shrink = 0.25;
 
   // Fault-tolerance knobs.
-  CollectiveOptions collective;
   double heartbeat_timeout_s = 0.75;
-  double barrier_timeout_s = 30.0;
+  double barrier_timeout_s = 30.0;  ///< bounds each barrier and all-reduce wait
   DistFaultPolicy faults;
 
-  /// Shared schedule seed: batch draws and retry jitter derive from it.
+  /// Shared schedule seed: batch draws derive from it.
   std::uint64_t seed = 1234;
   /// Optional JSONL sink (not owned); the surviving coordinator appends one
   /// "dist_epoch" record.
@@ -108,13 +106,9 @@ struct DistEpochStats {
   std::uint64_t final_checksum = 0;   ///< parameter fingerprint at exit
   bool replicas_bit_identical = true; ///< all survivors ended with equal bytes
 
-  // Transport / collective repair activity.
-  std::int64_t messages_dropped = 0;
-  std::int64_t messages_corrupted = 0;
-  std::int64_t checksum_failures = 0;
+  /// Always 0: the shared-memory all-reduce never resends. Kept for readers
+  /// of the dist_epoch record and the benchmark's dist.resends metric.
   std::int64_t resend_requests = 0;
-  std::int64_t resends_served = 0;
-  std::int64_t retries = 0;
 
   // Fault injection tally (what actually fired).
   int faults_killed = 0;

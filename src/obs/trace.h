@@ -10,12 +10,13 @@
 //     (obs/trace_export.h). Rings are single-producer (the owning thread) and
 //     drained at export time, so recording takes no lock.
 //
-// Distributed correlation (docs/OBSERVABILITY.md §Trace context): a thread can
-// declare the worker rank it acts for (set_thread_rank), ring sends/receives
-// record paired flow events (APA_TRACE_FLOW_OUT/IN) keyed by a span id carried
-// in the dist::Message trace context, and clock_mark() publishes a per-rank
-// barrier timestamp that tools/obs/trace_merge uses to align N per-rank trace
-// files onto one timeline.
+// Distributed correlation (docs/OBSERVABILITY.md §Distributed runs): a thread
+// can declare the worker rank it acts for (set_thread_rank), the all-reduce
+// records paired flow events (APA_TRACE_FLOW_OUT/IN) when a contribution is
+// published and when it is consumed, keyed by an id both sides derive, and
+// clock_mark() publishes a per-rank barrier timestamp that
+// tools/obs/trace_merge uses to align N per-rank trace files onto one
+// timeline.
 //
 // Configuring with -DAPAMM_OBS=OFF compiles every macro to a no-op with zero
 // runtime cost; the query functions below remain callable and return empty.

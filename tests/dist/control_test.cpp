@@ -46,9 +46,9 @@ TEST(ControlBlock, BarrierReleasesWhenAllArrive) {
 }
 
 TEST(ControlBlock, BarrierCompletesOverSurvivorsAfterMarkDead) {
-  // Two of three arrive; the third is reported dead by another thread (as the
-  // collective layer does on timeout). The barrier must complete for the
-  // survivors instead of waiting for the dead rank.
+  // Two of three arrive; the third is reported dead by another thread. The
+  // barrier must complete for the survivors instead of waiting for the dead
+  // rank.
   ControlBlock control(3, 60.0);  // heartbeats never go stale here
   std::vector<BarrierResult> results(2, BarrierResult::kAborted);
   std::vector<std::thread> threads;

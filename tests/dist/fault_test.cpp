@@ -14,26 +14,22 @@ TEST(DistFaultPolicy, EmptySpecArmsNothing) {
 
 TEST(DistFaultPolicy, ParsesEveryClause) {
   const DistFaultPolicy policy = DistFaultPolicy::parse(
-      "kill@1:7,corrupt@0:3,corrupt-shard@2:5,corrupt-msg@1:4,drop@0:2,"
-      "delay@3:9:250");
+      "kill@1:7,corrupt@0:3,corrupt-shard@2:5,delay@3:9:250");
   EXPECT_TRUE(policy.any());
   EXPECT_TRUE(policy.kills(1, 7));
   EXPECT_FALSE(policy.kills(1, 8));
   EXPECT_FALSE(policy.kills(0, 7));
   EXPECT_TRUE(policy.corrupts_grad(0, 3));
   EXPECT_TRUE(policy.corrupts_shard(2, 5));
-  EXPECT_EQ(policy.corrupt_msg_rank, 1);
-  EXPECT_EQ(policy.corrupt_msg_count, 4);
-  EXPECT_EQ(policy.drop_rank, 0);
-  EXPECT_EQ(policy.drop_count, 2);
   EXPECT_TRUE(policy.delays(3, 9));
   EXPECT_DOUBLE_EQ(policy.delay_s, 0.25);
 }
 
 TEST(DistFaultPolicy, WhitespaceTolerated) {
-  const DistFaultPolicy policy = DistFaultPolicy::parse(" kill@0:1 , drop@1:3 ");
+  const DistFaultPolicy policy =
+      DistFaultPolicy::parse(" kill@0:1 , corrupt@1:3 ");
   EXPECT_TRUE(policy.kills(0, 1));
-  EXPECT_EQ(policy.drop_count, 3);
+  EXPECT_TRUE(policy.corrupts_grad(1, 3));
 }
 
 TEST(DistFaultPolicy, MalformedSpecsRejected) {
@@ -42,6 +38,9 @@ TEST(DistFaultPolicy, MalformedSpecsRejected) {
   EXPECT_THROW(DistFaultPolicy::parse("kill@x:2"), ApaError);
   EXPECT_THROW(DistFaultPolicy::parse("explode@0:1"), ApaError);
   EXPECT_THROW(DistFaultPolicy::parse("delay@0:1"), ApaError);
+  // Message faults: there is no message to drop or corrupt in shared memory.
+  EXPECT_THROW(DistFaultPolicy::parse("drop@0:2"), ApaError);
+  EXPECT_THROW(DistFaultPolicy::parse("corrupt-msg@1:4"), ApaError);
 }
 
 TEST(DistFaultPolicy, TrailingCommaIgnored) {

@@ -97,8 +97,6 @@ TEST_F(DistTrainerTest, DistributedRunMatchesLossBallpark) {
 TEST_F(DistTrainerTest, KilledWorkerDegradesToSurvivors) {
   options_.workers = 3;
   options_.faults = DistFaultPolicy::parse("kill@2:5");
-  options_.collective.hop_timeout_s = 0.1;
-  options_.collective.retry.max_attempts = 4;
   options_.heartbeat_timeout_s = 0.5;
   const DistEpochStats stats =
       train_data_parallel(model_factory(), small_train_set(), options_);
@@ -116,8 +114,6 @@ TEST_F(DistTrainerTest, KilledWorkerDegradesToSurvivors) {
 TEST_F(DistTrainerTest, DegradationLadderReachesSingleWorker) {
   options_.workers = 2;
   options_.faults = DistFaultPolicy::parse("kill@1:3");
-  options_.collective.hop_timeout_s = 0.1;
-  options_.collective.retry.max_attempts = 4;
   const DistEpochStats stats =
       train_data_parallel(model_factory(), small_train_set(), options_);
   EXPECT_EQ(stats.final_workers, 1);
@@ -176,8 +172,6 @@ TEST_F(DistTrainerTest, CombinedKillAndCorruptDrill) {
   // model in the same ballpark as the fault-free run.
   options_.workers = 3;
   options_.faults = DistFaultPolicy::parse("kill@2:4,corrupt@1:7");
-  options_.collective.hop_timeout_s = 0.1;
-  options_.collective.retry.max_attempts = 4;
   options_.heartbeat_timeout_s = 0.5;
   const DistEpochStats stats =
       train_data_parallel(model_factory(), small_train_set(), options_);
@@ -216,29 +210,6 @@ TEST_F(DistTrainerTest, RollbackBudgetExhaustionAborts) {
   }
 }
 
-TEST_F(DistTrainerTest, DroppedMessagesAreRepairedInline) {
-  options_.faults = DistFaultPolicy::parse("drop@0:3");
-  options_.collective.hop_timeout_s = 0.05;
-  const DistEpochStats stats =
-      train_data_parallel(model_factory(), small_train_set(), options_);
-  EXPECT_EQ(stats.messages_dropped, 3);
-  EXPECT_GT(stats.resends_served, 0);
-  EXPECT_EQ(stats.steps, 12);
-  EXPECT_EQ(stats.worker_deaths, 0);  // repair, not degradation
-  EXPECT_TRUE(stats.replicas_bit_identical);
-}
-
-TEST_F(DistTrainerTest, CorruptedMessagesAreRepairedInline) {
-  options_.faults = DistFaultPolicy::parse("corrupt-msg@1:2");
-  const DistEpochStats stats =
-      train_data_parallel(model_factory(), small_train_set(), options_);
-  EXPECT_EQ(stats.messages_corrupted, 2);
-  EXPECT_GT(stats.checksum_failures, 0);
-  EXPECT_EQ(stats.steps, 12);
-  EXPECT_EQ(stats.worker_deaths, 0);
-  EXPECT_TRUE(stats.replicas_bit_identical);
-}
-
 TEST_F(DistTrainerTest, RejectsBadOptions) {
   const auto run = [&](DistTrainOptions options) {
     return train_data_parallel(model_factory(), small_train_set(), options);
@@ -258,7 +229,7 @@ TEST_F(DistTrainerTest, SingleWorkerPathIsPlainSgd) {
   EXPECT_EQ(stats.steps, 12);
   EXPECT_EQ(stats.final_workers, 1);
   EXPECT_TRUE(std::isfinite(stats.mean_loss));
-  EXPECT_EQ(stats.resend_requests, 0);  // no collectives at n == 1
+  EXPECT_EQ(stats.resend_requests, 0);  // the shared-memory reduce never resends
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //   * shifts every event by -(mark_r - min_mark) so all timelines share the
 //     reference rank's axis, then rebases the result to start at ts = 0;
 //   * rewrites pid to the rank, so the viewer shows one process lane per
-//     worker with its ring sends ("s"/"f" flow arrows, ids stamped by
-//     dist/transport.cpp) crossing between lanes;
+//     worker with its all-reduce contributions ("s"/"f" flow arrows, ids
+//     derived in dist/control.cpp) crossing between lanes;
 //   * sorts events by timestamp (metadata first) and tallies how many flow
 //     ids found both halves.
 //
