@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
 
       double classical_seconds = 0;
       for (const auto& name : algos) {
-        core::FastMatmulOptions options;
-        options.num_threads = static_cast<int>(thread_count);
-        options.strategy =
+        nn::BackendOptions options;
+        options.matmul.num_threads = static_cast<int>(thread_count);
+        options.matmul.strategy =
             thread_count > 1 ? core::Strategy::kHybrid : core::Strategy::kSequential;
         nn::MlpConfig config;
         config.layer_sizes = {784, width, width, width, width, 10};

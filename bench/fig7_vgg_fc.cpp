@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   // the loop and release before the next algorithm).
   std::vector<std::vector<double>> seconds(algos.size());
   for (std::size_t ai = 0; ai < algos.size(); ++ai) {
-    core::FastMatmulOptions options;
-    options.num_threads = thread_count;
-    options.strategy = thread_count > 1 ? core::Strategy::kHybrid
-                                        : core::Strategy::kSequential;
+    nn::BackendOptions options;
+    options.matmul.num_threads = thread_count;
+    options.matmul.strategy = thread_count > 1 ? core::Strategy::kHybrid
+                                               : core::Strategy::kSequential;
     nn::VggFcConfig config;
     auto head = nn::make_vgg_fc_head(config, nn::MatmulBackend(algos[ai], options),
                                      nn::MatmulBackend("classical", options));

@@ -20,7 +20,6 @@
 #include "nn/trainer.h"
 #include "obs/session.h"
 #include "support/cli.h"
-#include "tune/calibrate.h"
 #include "tune/router.h"
 
 int main(int argc, char** argv) {
@@ -59,10 +58,6 @@ int main(int argc, char** argv) {
     // shape only a few times per epoch, so the default bench-sized budget
     // would never commit a decision in a short run.
     tuning.measure_reps = 1;
-    if (tune_cache.empty() || tune::load_tuning_cache(tune_cache).status !=
-                                  tune::CacheStatus::kLoaded) {
-      tune::calibrate().apply(tuning.backend);
-    }
     auto tuned = std::make_shared<const tune::TunedBackend>(tuning);
     router = tuned.get();
     fast = tuned;

@@ -13,8 +13,8 @@
 // (docs/TUNING.md): per-shape explore/exploit over {backend, lambda, steps,
 // strategy, plan variant} with guarded APA candidates. --tune-cache=PATH
 // additionally persists the learned choice table (implies --tune); a second
-// run against the same file warm-starts, skipping both the calibration probes
-// and the explore phase — verify with the tune.* counters in --metrics-out.
+// run against the same file warm-starts, skipping the explore phase — verify
+// with the tune.* counters in --metrics-out.
 //
 // --trace-out records every instrumented phase (pack/combine/gemm/epilogue/
 // verify/...) to a Chrome-trace JSON viewable in Perfetto; --metrics-out
@@ -48,7 +48,6 @@
 #include "nn/trainer.h"
 #include "obs/session.h"
 #include "support/cli.h"
-#include "tune/calibrate.h"
 #include "tune/router.h"
 
 namespace {
@@ -127,12 +126,6 @@ int main(int argc, char** argv) {
     // per shape per epoch), so take one timed sample per burst: decisions
     // commit within the first couple of epochs instead of never.
     tuning.measure_reps = 1;
-    // Calibrate the dispatch cost model only when the cache cannot warm-start
-    // this process; a warm fleet member pays neither probes nor exploration.
-    if (tune_cache.empty() || tune::load_tuning_cache(tune_cache).status !=
-                                  tune::CacheStatus::kLoaded) {
-      tune::calibrate().apply(tuning.backend);
-    }
     auto tuned = std::make_shared<const tune::TunedBackend>(tuning);
     router = tuned.get();
     fast = tuned;

@@ -5,11 +5,11 @@
 //
 // The im2col gemm is heavily rectangular (rows = batch*pixels, cols = a few
 // hundred), so whether an APA step pays depends on the machine's compute/
-// bandwidth balance; the backend's cost-aware dispatch decides per shape
-// (pass --cost-aware=false to force the fast path unconditionally).
+// bandwidth balance; the measured speedup line answers that for this host.
+// The backend orients the rule to the gemm's aspect ratio (paper section 6)
+// and the example prints which orientation it picked.
 //
 //   ./vgg_conv_block [--algo=fast444] [--batch=8] [--channels=64] [--hw=56]
-//                    [--cost-aware=true]
 
 #include <cstdio>
 #include <vector>
@@ -47,19 +47,21 @@ int main(int argc, char** argv) {
   MatrixView<float> dx_view = dx.view();
 
   double classical_seconds = 0;
-  nn::BackendOptions backend_options;
-  backend_options.cost_aware = args.get_bool("cost-aware", true);
-
   for (const std::string& name : std::vector<std::string>{"classical", algo}) {
     Rng layer_rng(2);
     nn::ConvLayer layer(shape, layer_rng);
-    const nn::MatmulBackend backend(name, backend_options);
+    const nn::MatmulBackend backend(name);
     if (name != "classical") {
       const auto* fast = backend.dispatch_for(gemm_m, shape.patch_size(),
                                               shape.out_channels);
-      std::printf("dispatch for the forward gemm: %s\n",
-                  fast != nullptr ? "fast (predicted profitable)"
-                                  : "classical (predicted unprofitable)");
+      if (fast != nullptr) {
+        const core::AlgorithmParams& p = fast->params();
+        std::printf("dispatch for the forward gemm: %s oriented <%ld,%ld,%ld>\n",
+                    name.c_str(), static_cast<long>(p.m), static_cast<long>(p.k),
+                    static_cast<long>(p.n));
+      } else {
+        std::printf("dispatch for the forward gemm: classical (below cutoff)\n");
+      }
     }
     // One warm + two timed forward/backward passes, keep the fastest.
     double best = 1e30;

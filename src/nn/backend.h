@@ -4,7 +4,10 @@
 // gemm directly (their fair baseline, which beat TF's built-in op) and APA
 // backends wrapping any registry rule.
 //
-// Two practical behaviours the paper's framework relies on are built in:
+// A backend is mechanism: it runs the one rule and options it was built with.
+// Choosing among rules, depths and strategies per shape is policy, and lives
+// in tune::TunedBackend alone. Two behaviours the paper's framework relies on
+// are built into every backend:
 //   * orientation matching (paper section 6): the rule is permuted per call so
 //     its largest dimension splits the problem's largest dimension — without
 //     this, backward-pass multiplications like dW = x^T dy (inner dim = batch)
@@ -34,17 +37,6 @@ struct BackendOptions {
   core::FastMatmulOptions matmul;
   /// Fall back to classical gemm when min(m, k, n) is below this.
   index_t min_dim_for_fast = 128;
-  /// Permute the rule to match the problem's aspect ratio per call.
-  bool auto_orient = true;
-  /// Profitability-aware dispatch (extension of paper section 2.4): estimate
-  /// the flops saved by the rule against its addition traffic using the cost
-  /// model, and fall back to classical gemm when the step cannot pay — e.g.
-  /// skinny problems whose shared operand blocks dwarf the flop savings.
-  bool cost_aware = false;
-  /// Machine constants for the cost-aware estimate; override after measuring
-  /// (core::measure_add_bandwidth and a gemm timing) for tighter dispatch.
-  double assumed_gemm_gflops = 45.0;
-  double assumed_add_bandwidth = 8e9;  // bytes/second
 };
 
 /// Optional extras for one matmul call: an elementwise epilogue applied to C
@@ -60,8 +52,6 @@ class MatmulBackend {
  public:
   /// `algorithm`: "classical" or a registry name.
   explicit MatmulBackend(const std::string& algorithm, BackendOptions options = {});
-  /// Convenience: wrap existing FastMatmul options with default backend policy.
-  MatmulBackend(const std::string& algorithm, core::FastMatmulOptions matmul_options);
   virtual ~MatmulBackend() = default;
   MatmulBackend(const MatmulBackend&) = default;
   MatmulBackend(MatmulBackend&&) = default;

@@ -66,7 +66,7 @@ namespace {
 
 /// The executor pads non-divisible problems up to the rule's block grid, so
 /// predictions are made at the padded size the machine actually runs.
-index_t pad_to(index_t dim, int block) {
+index_t pad_to(index_t dim, index_t block) {
   return (dim + block - 1) / block * block;
 }
 
@@ -88,12 +88,6 @@ double CostCalibration::predict_apa_seconds(const core::Rule& rule, index_t m,
   return core::predict_one_step(rule, pad_to(m, rule.m), pad_to(k, rule.k),
                                 pad_to(n, rule.n), cost_inputs(rule, m, k, n))
       .total();
-}
-
-void CostCalibration::apply(nn::BackendOptions& options) const {
-  if (!valid()) return;
-  options.assumed_gemm_gflops = gemm_gflops;
-  options.assumed_add_bandwidth = add_bandwidth;
 }
 
 CostCalibration calibrate_from_obs() {

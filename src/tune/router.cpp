@@ -107,7 +107,8 @@ std::vector<RouterCandidate> TunedBackend::candidates_for(index_t m, index_t k,
   for (const std::string& algo : options_.algorithms) {
     if (algo == "classical" || !core::has_algorithm(algo)) continue;
     std::vector<int> steps_list = {1};
-    if (options_.explore_two_step && min_mkn >= 2 * options_.min_dim) {
+    if (options_.explore_two_step &&
+        min_mkn >= 2 * options_.backend.min_dim_for_fast) {
       steps_list.push_back(2);
     }
     for (const int steps : steps_list) {
@@ -244,7 +245,8 @@ void TunedBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float> 
   const index_t k = transpose_a ? a.rows : a.cols;
   const index_t n = transpose_b ? b.rows : b.cols;
 
-  if (!options_.enabled || std::min({m, k, n}) < options_.min_dim) {
+  if (!options_.enabled ||
+      std::min({m, k, n}) < options_.backend.min_dim_for_fast) {
     {
       MutexLock lock(state_->mu);
       ++state_->stats.static_calls;

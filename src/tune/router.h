@@ -23,8 +23,10 @@
 //
 // TunedBackend is a MatmulBackend, so DenseLayer / ConvLayer / the trainers
 // route through it unchanged, fusion epilogues and prepacked plans included.
-// With tuning disabled (or below min_dim) every call falls through to the
-// configured static backend — exactly today's hard-coded behavior.
+// With tuning disabled, or below backend.min_dim_for_fast (the fast cutoff
+// every candidate backend shares, so no APA candidate could run there), every
+// call falls through to the configured static backend — exactly today's
+// hard-coded behavior.
 //
 // Determinism: the candidate order is fixed, sample slots are assigned under
 // the state lock, and ties break to the lowest candidate index — so a warm
@@ -82,9 +84,6 @@ struct RouterOptions {
   bool explore_two_step = true;
   /// Also try the plan-stripped classical variant (repack per call).
   bool explore_plain_plan = true;
-  /// Shapes with min(m, k, n) below this bypass tuning entirely and run the
-  /// classical static path (one recursive step cannot pay there).
-  index_t min_dim = 128;
   /// false = no exploration, no cache: behave as the static backend.
   bool enabled = true;
   /// Tuning-cache file; empty disables persistence.
@@ -93,8 +92,10 @@ struct RouterOptions {
   bool autosave = true;
   /// CPU signature override for tests; empty uses cpu_signature().
   std::string cpu;
-  /// Base backend policy (thread count, fast cutoff, cost constants) shared
-  /// by every candidate backend.
+  /// Base backend options shared by every candidate backend: the thread
+  /// count and the fast cutoff. Shapes with min(m, k, n) below
+  /// backend.min_dim_for_fast bypass tuning and run the static backend; two
+  /// recursive steps are explored only at twice that cutoff.
   nn::BackendOptions backend;
   /// Guard policy applied to every APA candidate (fault injection included).
   nn::GuardPolicy guard;
@@ -119,7 +120,7 @@ struct RouterStats {
   std::uint64_t decided_calls = 0;     ///< served by a committed decision
   std::uint64_t explore_samples = 0;   ///< timed candidate executions
   std::uint64_t decisions = 0;         ///< choices committed this process
-  std::uint64_t static_calls = 0;      ///< below min_dim or tuning disabled
+  std::uint64_t static_calls = 0;      ///< below the cutoff or tuning disabled
   std::uint64_t quarantine_overrides = 0;  ///< APA choice served classically
   std::uint64_t health_overrides = 0;  ///< APA choice derated by drift flag
   std::uint64_t warm_entries = 0;      ///< decisions loaded from the cache

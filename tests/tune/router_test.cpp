@@ -32,7 +32,6 @@ double fixed_cost(const RouterCandidate& c, index_t /*m*/, index_t /*k*/,
 RouterOptions test_options() {
   RouterOptions options;
   options.algorithms = {"bini322"};
-  options.min_dim = 32;
   options.backend.min_dim_for_fast = 32;
   options.cpu = kTestCpu;
   options.measure_override = fixed_cost;
@@ -138,6 +137,26 @@ TEST_F(TunedRouterTest, BelowMinDimIsStaticAndUntracked) {
   EXPECT_EQ(backend.stats().static_calls, 1u);
   EXPECT_EQ(backend.stats().explore_samples, 0u);
   EXPECT_TRUE(backend.choice_table().empty());
+}
+
+TEST_F(TunedRouterTest, BackendCutoffIsTheOnlyTuningCutoff) {
+  // The router's static bypass reads the one cutoff its candidate backends
+  // share: test_options() lowers only backend.min_dim_for_fast, and that
+  // alone opens 48^3 to tuning.
+  const TunedBackend backend(test_options());
+  Matrix<float> a(48, 48), b(48, 48), c(48, 48);
+  Rng rng(5);
+  fill_random_uniform<float>(a.view(), rng);
+  fill_random_uniform<float>(b.view(), rng);
+  backend.matmul(a.view().as_const(), b.view().as_const(), c.view());
+  EXPECT_EQ(backend.stats().static_calls, 0u);
+  EXPECT_EQ(backend.stats().explore_samples, 1u);
+  for (int call = 0; call < 64 && !backend.is_decided(48, 48, 48); ++call) {
+    backend.matmul(a.view().as_const(), b.view().as_const(), c.view());
+  }
+  const auto route = backend.route_for(48, 48, 48);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->algorithm, "bini322");  // the APA candidate was explored too
 }
 
 TEST_F(TunedRouterTest, DisabledRouterBehavesStatically) {
