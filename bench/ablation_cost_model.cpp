@@ -20,6 +20,7 @@
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "blas/gemm.h"
 #include "core/cost_model.h"
 #include "core/fastmm.h"
@@ -32,6 +33,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dims = args.get_int_list("dims", {768, 1536});
   const auto algos = bench::resolve_algorithms(args.get_list(
       "algos", {"strassen", "bini322", "fast442", "fast444", "apa644"}));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "core/designer.h"
 #include "core/fastmm.h"
 #include "support/cli.h"
@@ -20,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dim = args.get_int("dim", 1536);
 
   std::printf("Ablation: best APA vs best exact construction per shape\n\n");

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "benchutil/algos.h"
+#include "benchutil/isa.h"
 #include "core/lambda_opt.h"
 #include "core/registry.h"
 #include "support/cli.h"
@@ -18,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto algos = bench::resolve_algorithms(
       args.get_list("algos", {"bini322", "apa422", "apa664", "apa555"}));
   const auto dim = args.get_int("dim", 240);

@@ -9,6 +9,7 @@
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "core/fastmm.h"
 #include "core/lambda_opt.h"
 #include "core/registry.h"
@@ -19,6 +20,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dims = args.get_int_list("dims", {768, 1536});
   const auto algos = bench::resolve_algorithms(
       args.get_list("algos", {"classical", "strassen", "bini322", "fast444"}));

@@ -14,6 +14,7 @@
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "core/fastmm.h"
 #include "support/cli.h"
 #include "support/rng.h"
@@ -22,6 +23,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dim = args.get_int("dim", 768);
   const int thread_count = static_cast<int>(args.get_int("threads", omp_get_num_procs()));
   const auto algos = bench::resolve_algorithms(

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "blas/combine.h"
 #include "support/cli.h"
 #include "support/rng.h"
@@ -18,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dim = args.get_int("dim", 1024);
   const auto arities = args.get_int_list("arities", {2, 3, 4, 6, 8});
 

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "benchutil/algos.h"
+#include "benchutil/isa.h"
 #include "core/catalog.h"
 #include "core/lambda_opt.h"
 #include "core/registry.h"
@@ -20,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dims = args.get_int_list("dims", {240, 480, 960});
   const auto algos = bench::resolve_algorithms(args.get_list("algos", {"all"}));
 

@@ -18,6 +18,7 @@
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "core/fastmm.h"
 #include "support/cli.h"
 #include "support/rng.h"
@@ -27,6 +28,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dims = args.get_int_list(
       "dims", args.get_bool("full") ? std::vector<std::int64_t>{512, 1024, 2048, 4096, 8192}
                                     : std::vector<std::int64_t>{256, 512, 768, 1024, 1536});

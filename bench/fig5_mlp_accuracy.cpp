@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "benchutil/algos.h"
+#include "benchutil/isa.h"
 #include "data/idx.h"
 #include "data/synthetic_mnist.h"
 #include "nn/trainer.h"
@@ -22,6 +23,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const bool full = args.get_bool("full");
   const auto epochs = args.get_int("epochs", full ? 50 : 8);
   const auto train_size = args.get_int("train", full ? 60000 : 12000);

@@ -16,6 +16,7 @@
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "nn/mlp.h"
 #include "support/cli.h"
 #include "support/table.h"
@@ -23,6 +24,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto widths = args.get_int_list(
       "dims", args.get_bool("full") ? std::vector<std::int64_t>{512, 1024, 2048, 4096, 8192}
                                     : std::vector<std::int64_t>{256, 512, 1024, 1536});

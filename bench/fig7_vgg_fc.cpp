@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "benchutil/algos.h"
+#include "benchutil/isa.h"
 #include "nn/vgg.h"
 #include "support/cli.h"
 #include "support/table.h"
@@ -16,6 +17,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto batches = args.get_int_list(
       "batches", args.get_bool("full")
                      ? std::vector<std::int64_t>{64, 128, 256, 512, 1024}

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "benchutil/json_writer.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
@@ -65,6 +66,7 @@ apa::obs::JsonRecord to_record(const Row& r) {
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   obs::ObsSession obs_session(
       args.get("trace-out", ""), args.get("metrics-out", ""),
       static_cast<std::uint64_t>(args.get_int("trace-cap", 0)));

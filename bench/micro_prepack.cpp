@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "benchutil/json_writer.h"
 #include "blas/plan.h"
 #include "nn/backend.h"
@@ -36,6 +37,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   obs::ObsSession obs_session(
       args.get("trace-out", ""), args.get("metrics-out", ""),
       static_cast<std::uint64_t>(args.get_int("trace-cap", 0)));

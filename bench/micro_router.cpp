@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "benchutil/harness.h"
+#include "benchutil/isa.h"
 #include "benchutil/json_writer.h"
 #include "nn/backend.h"
 #include "support/cli.h"
@@ -37,6 +38,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
   const auto dims = args.get_int_list("dims", {1024, 2048});
   const auto batches = args.get_int_list("batches", {128, 384, 1024, 4096});
   const auto algos = args.get_list("algos", {"bini322", "strassen"});

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "benchutil/isa.h"
 #include "core/params.h"
 #include "core/registry.h"
 #include "support/cli.h"
@@ -18,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
+  bench::select_isa(args);
 
   std::printf("Table 1: APA/fast algorithm properties (1 recursive step, d = 23)\n\n");
   TablePrinter table({"name", "dims", "rank", "paper-rank", "speedup%", "sigma", "phi",

@@ -61,7 +61,9 @@ ratio = on_total / off_total
 rows.append({"workload": "total", "off_seconds": round(off_total, 6),
              "on_seconds": round(on_total, 6), "overhead_ratio": round(ratio, 4)})
 
-doc = {"bench": "obs_overhead", "budget_ratio": budget, "rows": rows}
+kernel = json.load(open("/tmp/apamm_prepack_on.json")).get("kernel", "unknown")
+doc = {"bench": "obs_overhead", "kernel": kernel, "budget_ratio": budget,
+       "rows": rows}
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

@@ -2,6 +2,8 @@
 # Regenerates every table/figure of the paper plus the ablations, writing
 # console output and CSVs under results/. Pass --full as $1 to run the
 # paper-scale sweeps (hours on a laptop; the defaults take minutes).
+# The runs pin the AVX2 gemm kernel, whose compute/bandwidth balance matches
+# the paper's (EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 FULL="${1:-}"
@@ -18,7 +20,8 @@ echo "== rule_lint =="
 run() {
   local name="$1"; shift
   echo "== $name =="
-  "./build/bench/$name" "$@" --csv="results/$name.csv" | tee "results/$name.txt"
+  "./build/bench/$name" "$@" --isa=avx2 --csv="results/$name.csv" |
+    tee "results/$name.txt"
 }
 
 run table1_properties
@@ -33,8 +36,8 @@ run ablation_lambda
 run ablation_exact_vs_apa
 run ablation_cost_model
 run ablation_writeonce
-./build/bench/micro_core --benchmark_out=results/micro_core.json \
+./build/bench/micro_core --isa=avx2 --benchmark_out=results/micro_core.json \
   --benchmark_out_format=json | tee results/micro_core.txt
-./build/bench/micro_blas --benchmark_out=results/micro_blas.json \
+./build/bench/micro_blas --isa=avx2 --benchmark_out=results/micro_blas.json \
   --benchmark_out_format=json | tee results/micro_blas.txt
 echo "done; outputs in results/"

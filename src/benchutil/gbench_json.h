@@ -2,7 +2,8 @@
 // Drop-in replacement for BENCHMARK_MAIN() that also emits the repo's
 // BENCH_*.json shape via BenchJsonWriter. A --json=PATH argument (consumed
 // before google-benchmark sees the command line) selects the output file;
-// --json= (empty) disables it. Console output is unchanged — the collecting
+// --json= (empty) disables it. --isa=... is consumed the same way
+// (benchutil/isa.h). Console output is unchanged — the collecting
 // reporter wraps the default ConsoleReporter.
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "benchutil/isa.h"
 #include "benchutil/json_writer.h"
 
 namespace apa::bench {
@@ -57,15 +59,19 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 inline int run_gbench_with_json(int argc, char** argv, const char* bench_name,
                                 const char* default_json) {
   std::string json_path = default_json;
+  std::string isa = "best";
   std::vector<char*> filtered;
   filtered.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
+    } else if (std::strncmp(argv[i], "--isa=", 6) == 0) {
+      isa = argv[i] + 6;
     } else {
       filtered.push_back(argv[i]);
     }
   }
+  select_isa(isa);
   int filtered_argc = static_cast<int>(filtered.size());
   filtered.push_back(nullptr);
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "blas/isa.h"
+
 namespace apa::bench {
 
 bool BenchJsonWriter::write(const std::string& path) const {
@@ -13,6 +15,8 @@ bool BenchJsonWriter::write(const std::string& path) const {
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+  std::fprintf(f, "  \"kernel\": \"%s\",\n",
+               blas::kernel_name(blas::active_isa()).c_str());
   const std::string meta_json = meta_.to_json();
   if (meta_json.size() > 2) {  // non-empty object: splice its fields inline
     std::fprintf(f, "  %s,\n",

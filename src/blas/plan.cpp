@@ -14,7 +14,6 @@ namespace apa::blas {
 namespace {
 
 using detail::BlockShape;
-using detail::MicroShape;
 
 /// Applies an epilogue to a rows x cols region of C whose top-left element is
 /// (row0, col0) of the logical output (bias indexes columns globally, the
@@ -67,12 +66,12 @@ void epilogue_region(const Epilogue<T>& ep, T* c, index_t ldc, index_t rows,
 /// block of B into C, applying alpha and beta; when `ep` is non-null (final
 /// k-block), the epilogue runs on each tile while it is still cache-hot.
 /// (row0, col0) locate the C block in the logical output.
-template <class T>
+template <class K, class T>
 void macro_kernel(index_t mc, index_t nc, index_t kc, T alpha, const T* a_packed,
                   const T* b_packed, T beta, T* c, index_t ldc, const Epilogue<T>* ep,
                   index_t row0, index_t col0) {
-  constexpr index_t mr = MicroShape<T>::kMr;
-  constexpr index_t nr = MicroShape<T>::kNr;
+  constexpr index_t mr = K::kMr;
+  constexpr index_t nr = K::kNr;
   for (index_t j = 0; j < nc; j += nr) {
     const index_t nb = std::min(nr, nc - j);
     const T* b_panel = b_packed + (j / nr) * kc * nr;
@@ -81,9 +80,10 @@ void macro_kernel(index_t mc, index_t nc, index_t kc, T alpha, const T* a_packed
       const T* a_panel = a_packed + (i / mr) * kc * mr;
       T* c_tile = c + i * ldc + j;
       if (mb == mr && nb == nr) {
-        detail::microkernel(kc, alpha, a_panel, b_panel, beta, c_tile, ldc);
+        K::run(kc, alpha, a_panel, b_panel, beta, c_tile, ldc);
       } else {
-        detail::microkernel_edge(kc, mb, nb, alpha, a_panel, b_panel, beta, c_tile, ldc);
+        detail::microkernel_edge<K>(kc, mb, nb, alpha, a_panel, b_panel, beta, c_tile,
+                                    ldc);
       }
       if (ep != nullptr) {
         epilogue_region(*ep, c_tile, ldc, mb, nb, row0 + i, col0 + j);
@@ -95,14 +95,14 @@ void macro_kernel(index_t mc, index_t nc, index_t kc, T alpha, const T* a_packed
 /// Single-threaded blocked gemm over packed (or prepacked) operands. Pack
 /// buffers are leased from the BufferPool, so the training loop's repeated
 /// calls at recurring shapes stop malloc-ing.
-template <class T>
+template <class K, class T>
 void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, bool tb,
                    const T* b, index_t ldb, const PackedPanel<T>* pb, index_t m,
                    index_t n, index_t k, T alpha, T beta, T* c, index_t ldc,
                    const Epilogue<T>& ep) {
-  constexpr index_t mc_max = BlockShape<T>::kMc;
-  constexpr index_t kc_max = BlockShape<T>::kKc;
-  constexpr index_t nc_max = BlockShape<T>::kNc;
+  constexpr index_t mc_max = BlockShape<K>::kMc;
+  constexpr index_t kc_max = BlockShape<K>::kKc;
+  constexpr index_t nc_max = BlockShape<K>::kNc;
 
   PooledBuffer<T> a_buf(pa != nullptr ? 0 : static_cast<std::size_t>(mc_max) * kc_max);
   PooledBuffer<T> b_buf(pb != nullptr ? 0 : static_cast<std::size_t>(kc_max) * nc_max);
@@ -119,7 +119,7 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
         b_block = pb->block(jc / nc_max, pc / kc_max);
       } else {
         APA_TRACE_SCOPE("blas.pack_b");
-        detail::pack_b(tb, b, ldb, pc, jc, kc, nc, b_buf.data());
+        detail::pack_b<K>(tb, b, ldb, pc, jc, kc, nc, b_buf.data());
         b_block = b_buf.data();
       }
       for (index_t ic = 0; ic < m; ic += mc_max) {
@@ -129,12 +129,12 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
           a_block = pa->block(ic / mc_max, pc / kc_max);
         } else {
           APA_TRACE_SCOPE("blas.pack_a");
-          detail::pack_a(ta, a, lda, ic, pc, mc, kc, a_buf.data());
+          detail::pack_a<K>(ta, a, lda, ic, pc, mc, kc, a_buf.data());
           a_block = a_buf.data();
         }
         APA_TRACE_SCOPE("blas.kernel");
-        macro_kernel(mc, nc, kc, alpha, a_block, b_block, beta_eff, c + ic * ldc + jc,
-                     ldc, tile_ep, ic, jc);
+        macro_kernel<K>(mc, nc, kc, alpha, a_block, b_block, beta_eff,
+                        c + ic * ldc + jc, ldc, tile_ep, ic, jc);
       }
     }
   }
@@ -146,16 +146,16 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
 /// parallelized. Replaces the column-stripe scheme, which re-packed A
 /// redundantly in every thread. The implicit barrier after each `omp for`
 /// orders packing before compute and compute before the next block's repack.
-template <class T>
+template <class K, class T>
 void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
                      bool tb, const T* b, index_t ldb, const PackedPanel<T>* pb,
                      index_t m, index_t n, index_t k, T alpha, T beta, T* c,
                      index_t ldc, const Epilogue<T>& ep, int threads) {
-  constexpr index_t mr = MicroShape<T>::kMr;
-  constexpr index_t nr = MicroShape<T>::kNr;
-  constexpr index_t mc_max = BlockShape<T>::kMc;
-  constexpr index_t kc_max = BlockShape<T>::kKc;
-  constexpr index_t nc_max = BlockShape<T>::kNc;
+  constexpr index_t mr = K::kMr;
+  constexpr index_t nr = K::kNr;
+  constexpr index_t mc_max = BlockShape<K>::kMc;
+  constexpr index_t kc_max = BlockShape<K>::kKc;
+  constexpr index_t nc_max = BlockShape<K>::kNc;
 
   PooledBuffer<T> a_buf(pa != nullptr ? 0 : static_cast<std::size_t>(mc_max) * kc_max);
   PooledBuffer<T> b_buf(pb != nullptr ? 0 : static_cast<std::size_t>(kc_max) * nc_max);
@@ -180,8 +180,8 @@ void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
           APA_TRACE_SCOPE("blas.pack_b");
 #pragma omp for schedule(static)
           for (index_t q = 0; q < n_panels; ++q) {
-            detail::pack_b_panel(tb, b, ldb, pc, jc + q * nr, kc,
-                                 std::min(nr, nc - q * nr), b_shared + q * kc * nr);
+            detail::pack_b_panel<K>(tb, b, ldb, pc, jc + q * nr, kc,
+                                    std::min(nr, nc - q * nr), b_shared + q * kc * nr);
           }
           b_block = b_shared;
         }
@@ -195,9 +195,9 @@ void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
             APA_TRACE_SCOPE("blas.pack_a");
 #pragma omp for schedule(static)
             for (index_t p = 0; p < m_panels; ++p) {
-              detail::pack_a_panel(ta, a, lda, ic + p * mr, pc,
-                                   std::min(mr, mc - p * mr), kc,
-                                   a_shared + p * mr * kc);
+              detail::pack_a_panel<K>(ta, a, lda, ic + p * mr, pc,
+                                      std::min(mr, mc - p * mr), kc,
+                                      a_shared + p * mr * kc);
             }
             a_block = a_shared;
           }
@@ -212,10 +212,10 @@ void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
               const T* a_panel = a_block + (i / mr) * kc * mr;
               T* c_tile = c + (ic + i) * ldc + jc + j;
               if (mb == mr && nb == nr) {
-                detail::microkernel(kc, alpha, a_panel, b_panel, beta_eff, c_tile, ldc);
+                K::run(kc, alpha, a_panel, b_panel, beta_eff, c_tile, ldc);
               } else {
-                detail::microkernel_edge(kc, mb, nb, alpha, a_panel, b_panel, beta_eff,
-                                         c_tile, ldc);
+                detail::microkernel_edge<K>(kc, mb, nb, alpha, a_panel, b_panel,
+                                            beta_eff, c_tile, ldc);
               }
               if (tile_ep != nullptr) {
                 epilogue_region(*tile_ep, c_tile, ldc, mb, nb, ic + i, jc + j);
@@ -259,35 +259,39 @@ template <class T>
 PackedPanel<T> PackedPanel<T>::pack_a(bool trans, MatrixView<const T> stored,
                                       int num_threads) {
   APA_TRACE_SCOPE("blas.prepack_a");
-  constexpr index_t mr = MicroShape<T>::kMr;
-  constexpr index_t mc_max = BlockShape<T>::kMc;
-  constexpr index_t kc_max = BlockShape<T>::kKc;
   PackedPanel<T> p;
   p.side_ = Side::kA;
+  p.isa_ = active_isa();
   p.rows_ = trans ? stored.cols : stored.rows;  // m
   p.cols_ = trans ? stored.rows : stored.cols;  // k
-  p.outer_blocks_ = (p.rows_ + mc_max - 1) / mc_max;
-  p.k_blocks_ = (p.cols_ + kc_max - 1) / kc_max;
-  // Uniform slot stride sized for the largest block, so small operands (the
-  // executor's sub-blocks) don't pay a full MC x KC slot.
-  const index_t mc_fit = std::min(mc_max, (p.rows_ + mr - 1) / mr * mr);
-  p.slot_ = static_cast<std::size_t>(mc_fit) * std::min(kc_max, p.cols_);
-  p.storage_ = PooledBuffer<T>(p.slot_ * static_cast<std::size_t>(p.outer_blocks_) *
-                               static_cast<std::size_t>(p.k_blocks_));
-  // Blocks are independent and write disjoint slots, so the gather threads at
-  // block granularity with the exact serial layout.
-  const index_t total = p.outer_blocks_ * p.k_blocks_;
-  const int team = static_cast<int>(
-      std::min<index_t>(std::max(num_threads, 1), total));
+  detail::with_kernel<T>(p.isa_, [&](auto kernel) {
+    using K = decltype(kernel);
+    constexpr index_t mr = K::kMr;
+    constexpr index_t mc_max = BlockShape<K>::kMc;
+    constexpr index_t kc_max = BlockShape<K>::kKc;
+    p.outer_blocks_ = (p.rows_ + mc_max - 1) / mc_max;
+    p.k_blocks_ = (p.cols_ + kc_max - 1) / kc_max;
+    // Uniform slot stride sized for the largest block, so small operands (the
+    // executor's sub-blocks) don't pay a full MC x KC slot.
+    const index_t mc_fit = std::min(mc_max, (p.rows_ + mr - 1) / mr * mr);
+    p.slot_ = static_cast<std::size_t>(mc_fit) * std::min(kc_max, p.cols_);
+    p.storage_ = PooledBuffer<T>(p.slot_ * static_cast<std::size_t>(p.outer_blocks_) *
+                                 static_cast<std::size_t>(p.k_blocks_));
+    // Blocks are independent and write disjoint slots, so the gather threads
+    // at block granularity with the exact serial layout.
+    const index_t total = p.outer_blocks_ * p.k_blocks_;
+    const int team = static_cast<int>(
+        std::min<index_t>(std::max(num_threads, 1), total));
 #pragma omp parallel for schedule(static) num_threads(team) if (team > 1)
-  for (index_t blk = 0; blk < total; ++blk) {
-    const index_t ic = (blk / p.k_blocks_) * mc_max;
-    const index_t pc = (blk % p.k_blocks_) * kc_max;
-    const index_t mc = std::min(mc_max, p.rows_ - ic);
-    const index_t kc = std::min(kc_max, p.cols_ - pc);
-    T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
-    detail::pack_a(trans, stored.data, stored.ld, ic, pc, mc, kc, dst);
-  }
+    for (index_t blk = 0; blk < total; ++blk) {
+      const index_t ic = (blk / p.k_blocks_) * mc_max;
+      const index_t pc = (blk % p.k_blocks_) * kc_max;
+      const index_t mc = std::min(mc_max, p.rows_ - ic);
+      const index_t kc = std::min(kc_max, p.cols_ - pc);
+      T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
+      detail::pack_a<K>(trans, stored.data, stored.ld, ic, pc, mc, kc, dst);
+    }
+  });
   return p;
 }
 
@@ -295,31 +299,35 @@ template <class T>
 PackedPanel<T> PackedPanel<T>::pack_b(bool trans, MatrixView<const T> stored,
                                       int num_threads) {
   APA_TRACE_SCOPE("blas.prepack_b");
-  constexpr index_t nr = MicroShape<T>::kNr;
-  constexpr index_t kc_max = BlockShape<T>::kKc;
-  constexpr index_t nc_max = BlockShape<T>::kNc;
   PackedPanel<T> p;
   p.side_ = Side::kB;
+  p.isa_ = active_isa();
   p.rows_ = trans ? stored.cols : stored.rows;  // k
   p.cols_ = trans ? stored.rows : stored.cols;  // n
-  p.outer_blocks_ = (p.cols_ + nc_max - 1) / nc_max;
-  p.k_blocks_ = (p.rows_ + kc_max - 1) / kc_max;
-  const index_t nc_fit = std::min(nc_max, (p.cols_ + nr - 1) / nr * nr);
-  p.slot_ = static_cast<std::size_t>(std::min(kc_max, p.rows_)) * nc_fit;
-  p.storage_ = PooledBuffer<T>(p.slot_ * static_cast<std::size_t>(p.outer_blocks_) *
-                               static_cast<std::size_t>(p.k_blocks_));
-  const index_t total = p.outer_blocks_ * p.k_blocks_;
-  const int team = static_cast<int>(
-      std::min<index_t>(std::max(num_threads, 1), total));
+  detail::with_kernel<T>(p.isa_, [&](auto kernel) {
+    using K = decltype(kernel);
+    constexpr index_t nr = K::kNr;
+    constexpr index_t kc_max = BlockShape<K>::kKc;
+    constexpr index_t nc_max = BlockShape<K>::kNc;
+    p.outer_blocks_ = (p.cols_ + nc_max - 1) / nc_max;
+    p.k_blocks_ = (p.rows_ + kc_max - 1) / kc_max;
+    const index_t nc_fit = std::min(nc_max, (p.cols_ + nr - 1) / nr * nr);
+    p.slot_ = static_cast<std::size_t>(std::min(kc_max, p.rows_)) * nc_fit;
+    p.storage_ = PooledBuffer<T>(p.slot_ * static_cast<std::size_t>(p.outer_blocks_) *
+                                 static_cast<std::size_t>(p.k_blocks_));
+    const index_t total = p.outer_blocks_ * p.k_blocks_;
+    const int team = static_cast<int>(
+        std::min<index_t>(std::max(num_threads, 1), total));
 #pragma omp parallel for schedule(static) num_threads(team) if (team > 1)
-  for (index_t blk = 0; blk < total; ++blk) {
-    const index_t jc = (blk / p.k_blocks_) * nc_max;
-    const index_t pc = (blk % p.k_blocks_) * kc_max;
-    const index_t nc = std::min(nc_max, p.cols_ - jc);
-    const index_t kc = std::min(kc_max, p.rows_ - pc);
-    T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
-    detail::pack_b(trans, stored.data, stored.ld, pc, jc, kc, nc, dst);
-  }
+    for (index_t blk = 0; blk < total; ++blk) {
+      const index_t jc = (blk / p.k_blocks_) * nc_max;
+      const index_t pc = (blk % p.k_blocks_) * kc_max;
+      const index_t nc = std::min(nc_max, p.cols_ - jc);
+      const index_t kc = std::min(kc_max, p.rows_ - pc);
+      T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
+      detail::pack_b<K>(trans, stored.data, stored.ld, pc, jc, kc, nc, dst);
+    }
+  });
   return p;
 }
 
@@ -348,15 +356,24 @@ void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packe
   APA_COUNTER_ADD("blas.gemm.flops", 2ULL * static_cast<std::uint64_t>(m) *
                                          static_cast<std::uint64_t>(k) *
                                          static_cast<std::uint64_t>(n));
+  // One read of the process-wide choice per call, so a concurrent set_isa
+  // cannot mix kernels within one product.
+  const Isa isa = active_isa();
   if (a_packed != nullptr) {
     APA_CHECK_MSG(a_packed->side() == PackedPanel<T>::Side::kA &&
-                      a_packed->rows() == m && a_packed->cols() == k,
-                  "prepacked A panel does not match op(A) " << m << "x" << k);
+                      a_packed->rows() == m && a_packed->cols() == k &&
+                      a_packed->isa() == isa,
+                  "prepacked A panel (" << isa_name(a_packed->isa())
+                                        << ") does not match op(A) " << m << "x" << k
+                                        << " on the " << isa_name(isa) << " kernel");
   }
   if (b_packed != nullptr) {
     APA_CHECK_MSG(b_packed->side() == PackedPanel<T>::Side::kB &&
-                      b_packed->rows() == k && b_packed->cols() == n,
-                  "prepacked B panel does not match op(B) " << k << "x" << n);
+                      b_packed->rows() == k && b_packed->cols() == n &&
+                      b_packed->isa() == isa,
+                  "prepacked B panel (" << isa_name(b_packed->isa())
+                                        << ") does not match op(B) " << k << "x" << n
+                                        << " on the " << isa_name(isa) << " kernel");
   }
   validate_epilogue(epilogue, m, n);
   if (m == 0 || n == 0) return;
@@ -370,16 +387,18 @@ void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packe
     return;
   }
 
-  constexpr index_t nr = detail::MicroShape<T>::kNr;
-  const int usable =
-      static_cast<int>(std::min<index_t>(num_threads, (n + nr - 1) / nr));
-  if (usable <= 1) {
-    engine_serial(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m, n, k,
-                  alpha, beta, c.data, c.ld, epilogue);
-  } else {
-    engine_parallel(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m, n, k,
-                    alpha, beta, c.data, c.ld, epilogue, usable);
-  }
+  detail::with_kernel<T>(isa, [&](auto kernel) {
+    using K = decltype(kernel);
+    const int usable =
+        static_cast<int>(std::min<index_t>(num_threads, (n + K::kNr - 1) / K::kNr));
+    if (usable <= 1) {
+      engine_serial<K>(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m, n,
+                       k, alpha, beta, c.data, c.ld, epilogue);
+    } else {
+      engine_parallel<K>(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m,
+                         n, k, alpha, beta, c.data, c.ld, epilogue, usable);
+    }
+  });
 }
 
 template void apply_epilogue<float>(const Epilogue<float>&, MatrixView<float>);

@@ -17,6 +17,10 @@
 // bit-identical to the unfused two-pass evaluation (same per-element operation
 // order), which the test suite asserts.
 //
+// Every panel and every planned gemm runs one microkernel: the process-wide
+// active one (blas/isa.h). A panel records the kernel it was packed for, since
+// the kernels' register tiles differ and so does the packed layout.
+//
 // Threading uses a shared-pack scheme: one packed A block and one packed B
 // block are shared by the whole OpenMP team (packing itself is split across
 // threads at micropanel granularity), and the macro-kernel loop over NR-column
@@ -24,6 +28,7 @@
 // packed A redundantly in every thread.
 
 #include "blas/gemm.h"
+#include "blas/isa.h"
 #include "support/matrix.h"
 #include "support/pool.h"
 
@@ -54,9 +59,10 @@ struct Epilogue {
 template <class T>
 void apply_epilogue(const Epilogue<T>& ep, MatrixView<T> c);
 
-/// One GEMM operand packed once into micropanel block layout. Storage is
-/// leased from the global BufferPool, so repeated pack/drop cycles at the
-/// same shape (a training loop) recycle one allocation.
+/// One GEMM operand packed once into micropanel block layout for the active
+/// microkernel. Storage is leased from the global BufferPool, so repeated
+/// pack/drop cycles at the same shape (a training loop) recycle one
+/// allocation.
 template <class T>
 class PackedPanel {
  public:
@@ -84,6 +90,8 @@ class PackedPanel {
   /// Logical op-operand dimensions (m x k for side A, k x n for side B).
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t cols() const { return cols_; }
+  /// The microkernel whose register tile the layout follows.
+  [[nodiscard]] Isa isa() const { return isa_; }
 
   /// Packed data of one cache block: for side A, block (ic/MC, pc/KC); for
   /// side B, block (jc/NC, pc/KC). Exposed for the gemm engine.
@@ -94,6 +102,7 @@ class PackedPanel {
 
  private:
   Side side_ = Side::kA;
+  Isa isa_ = Isa::kScalar;
   index_t rows_ = 0, cols_ = 0;
   index_t outer_blocks_ = 0, k_blocks_ = 0;
   std::size_t slot_ = 0;  ///< elements per block slot (uniform stride)
@@ -102,9 +111,10 @@ class PackedPanel {
 
 /// c = alpha * op(A) * op(B) + beta * c, then the epilogue. `a_packed` /
 /// `b_packed` may be null (the operand is packed on the fly from its view) or
-/// must match the corresponding view's op-shape exactly. Views must always be
-/// valid — panels only bypass reading their data. num_threads == 1 performs no
-/// OpenMP calls (safe under an enclosing parallel region).
+/// must match the corresponding view's op-shape exactly and have been packed
+/// for the active kernel. Views must always be valid — panels only bypass
+/// reading their data. num_threads == 1 performs no OpenMP calls (safe under
+/// an enclosing parallel region).
 template <class T>
 void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packed,
                   Trans tb, MatrixView<const T> b, const PackedPanel<T>* b_packed,
@@ -138,12 +148,13 @@ class GemmPlan {
   [[nodiscard]] bool has_packed_a() const { return !a_.empty(); }
   [[nodiscard]] bool has_packed_b() const { return !b_.empty(); }
 
-  /// The packed A panel when it matches op(A) of shape m x k, else nullptr.
+  /// The packed A panel when it matches op(A) of shape m x k and the active
+  /// kernel, else nullptr.
   [[nodiscard]] const PackedPanel<T>* packed_a_for(index_t m, index_t k) const {
-    return (!a_.empty() && a_.rows() == m && a_.cols() == k) ? &a_ : nullptr;
+    return matches(a_, m, k) ? &a_ : nullptr;
   }
   [[nodiscard]] const PackedPanel<T>* packed_b_for(index_t k, index_t n) const {
-    return (!b_.empty() && b_.rows() == k && b_.cols() == n) ? &b_ : nullptr;
+    return matches(b_, k, n) ? &b_ : nullptr;
   }
 
   void run(Trans ta, MatrixView<const T> a, Trans tb, MatrixView<const T> b,
@@ -157,6 +168,11 @@ class GemmPlan {
   }
 
  private:
+  static bool matches(const PackedPanel<T>& p, index_t rows, index_t cols) {
+    return !p.empty() && p.rows() == rows && p.cols() == cols &&
+           p.isa() == active_isa();
+  }
+
   PackedPanel<T> a_;
   PackedPanel<T> b_;
 };

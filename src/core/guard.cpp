@@ -1,59 +1,127 @@
 #include "core/guard.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "blas/isa.h"
 #include "support/check.h"
 
 namespace apa::core {
 namespace {
 
-// The verify kernels walk "rows" of op(M) for a stored row-major M: unit
-// stride when M is untransposed, ld-stride otherwise. Templating on the
-// stride keeps the hot untransposed path a contiguous stream, and the
-// `omp simd` reductions give the compiler license to reassociate (and so
-// vectorize) the accumulations without -ffast-math. Any reassociation error
-// is O(k u) per row, far inside the guard's accumulation-floor tolerance.
+// The verify kernels apply op(M) (or |op(M)|) of a stored row-major M to a
+// vector, always streaming M's stored rows contiguously: row dot products when
+// M is untransposed, axpys into the output vector when it is transposed
+// (walking op(M)'s rows would stride by ld through memory instead).
+//
+// They run through blas::run_for_host, so a portable build runs them at the
+// host's vector width like the gemm kernels they check; everything here is
+// always_inline so that each run_for_host copy is compiled for its target.
+// Each dot product keeps kLanes independent partial sums, which the compiler
+// maps onto vector registers: a single running sum would be one chain of
+// dependent adds, bound by add latency instead of load bandwidth.
+// Reassociating changes only the rounding of the double accumulations,
+// O(n u) per row, far inside the guard's accumulation-floor tolerance. The
+// loops call no out-of-line function (hence __builtin_fabs): unoptimized, a
+// call from an AVX copy into baseline SSE code pays a state transition per
+// element.
+constexpr index_t kLanes = 16;
 
-template <bool kUnitStride>
-inline double dot(const float* x, index_t stride, const double* w, index_t n) {
-  double acc = 0;
-#pragma omp simd reduction(+ : acc)
-  for (index_t j = 0; j < n; ++j) {
-    acc += static_cast<double>(x[kUnitStride ? j : j * stride]) * w[j];
-  }
-  return acc;
+[[gnu::always_inline]] inline double lane_sum(const double (&acc)[kLanes]) {
+  double sum = 0;
+  for (const double v : acc) sum += v;
+  return sum;
 }
 
-// One pass over a row producing both sum_j |x_j| and sum_j x_j w_j.
-template <bool kUnitStride>
-inline void abs_and_dot(const float* x, index_t stride, const double* w,
-                        index_t n, double& abs_out, double& dot_out) {
-  double abs_acc = 0, dot_acc = 0;
-#pragma omp simd reduction(+ : abs_acc, dot_acc)
-  for (index_t j = 0; j < n; ++j) {
-    const double v = static_cast<double>(x[kUnitStride ? j : j * stride]);
-    abs_acc += std::abs(v);
-    dot_acc += v * w[j];
+// sum_j x_j w_j.
+[[gnu::always_inline]] inline double row_dot(const float* x, const double* w,
+                                             index_t n) {
+  double acc[kLanes] = {};
+  index_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+#pragma omp simd
+    for (index_t l = 0; l < kLanes; ++l) {
+      acc[l] += static_cast<double>(x[j + l]) * w[j + l];
+    }
   }
-  abs_out = abs_acc;
-  dot_out = dot_acc;
+  for (; j < n; ++j) acc[0] += static_cast<double>(x[j]) * w[j];
+  return lane_sum(acc);
 }
 
-// One pass producing both sum_j |x_j| wa_j and sum_j x_j wd_j.
-template <bool kUnitStride>
-inline void weighted_abs_and_dot(const float* x, index_t stride,
-                                 const double* w_abs, const double* w_dot,
-                                 index_t n, double& abs_out, double& dot_out) {
-  double abs_acc = 0, dot_acc = 0;
-#pragma omp simd reduction(+ : abs_acc, dot_acc)
-  for (index_t j = 0; j < n; ++j) {
-    const double v = static_cast<double>(x[kUnitStride ? j : j * stride]);
-    abs_acc += std::abs(v) * w_abs[j];
-    dot_acc += v * w_dot[j];
+// sum_j x_j w_j, and abs_out = sum_j |x_j| w_abs_j.
+[[gnu::always_inline]] inline double row_dot_abs(const float* x, const double* w,
+                                                 const double* w_abs, index_t n,
+                                                 double* abs_out) {
+  double acc[kLanes] = {};
+  double abs_acc[kLanes] = {};
+  index_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+#pragma omp simd
+    for (index_t l = 0; l < kLanes; ++l) {
+      const double v = static_cast<double>(x[j + l]);
+      acc[l] += v * w[j + l];
+      abs_acc[l] += __builtin_fabs(v) * w_abs[j + l];
+    }
   }
-  abs_out = abs_acc;
-  dot_out = dot_acc;
+  for (; j < n; ++j) {
+    const double v = static_cast<double>(x[j]);
+    acc[0] += v * w[j];
+    abs_acc[0] += __builtin_fabs(v) * w_abs[j];
+  }
+  *abs_out = lane_sum(abs_acc);
+  return lane_sum(acc);
+}
+
+// y += a x.
+[[gnu::always_inline]] inline void row_axpy(const float* x, double a, index_t n,
+                                            double* y) {
+#pragma omp simd
+  for (index_t i = 0; i < n; ++i) y[i] += static_cast<double>(x[i]) * a;
+}
+
+// y += a x and y_abs += a_abs |x|.
+[[gnu::always_inline]] inline void row_axpy_abs(const float* x, double a, double a_abs,
+                                                index_t n, double* y, double* y_abs) {
+#pragma omp simd
+  for (index_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(x[i]);
+    y[i] += v * a;
+    y_abs[i] += __builtin_fabs(v) * a_abs;
+  }
+}
+
+// y = op(M) x and, when x_abs is non-null, y_abs = |op(M)| x_abs, where op(M)
+// is rows x cols (M stored cols x rows when `trans`).
+struct ApplyOp {
+  [[gnu::always_inline]] static void run(MatrixView<const float> m, bool trans,
+                                         index_t rows, index_t cols, const double* x,
+                                         const double* x_abs, double* y,
+                                         double* y_abs) {
+    if (!trans) {
+      for (index_t i = 0; i < rows; ++i) {
+        const float* row = m.data + i * m.ld;
+        y[i] = x_abs != nullptr ? row_dot_abs(row, x, x_abs, cols, y_abs + i)
+                                : row_dot(row, x, cols);
+      }
+      return;
+    }
+    std::fill(y, y + rows, 0.0);
+    if (x_abs != nullptr) std::fill(y_abs, y_abs + rows, 0.0);
+    for (index_t t = 0; t < cols; ++t) {
+      const float* row = m.data + t * m.ld;
+      if (x_abs != nullptr) {
+        row_axpy_abs(row, x[t], x_abs[t], rows, y, y_abs);
+      } else {
+        row_axpy(row, x[t], rows, y);
+      }
+    }
+  }
+};
+
+void apply_op(MatrixView<const float> m, bool trans, index_t rows, index_t cols,
+              const double* x, const double* x_abs, double* y, double* y_abs) {
+  blas::run_for_host<ApplyOp>(m, trans, rows, cols, x, x_abs, y, y_abs);
 }
 
 }  // namespace
@@ -85,17 +153,6 @@ double ProductGuard::error_bound_for_lambda(const AlgorithmParams& params,
   return approx + roundoff;
 }
 
-bool ProductGuard::all_finite(MatrixView<const float> c) {
-  for (index_t i = 0; i < c.rows; ++i) {
-    const float* row = c.data + i * c.ld;
-    // Branch-free accumulation lets the compiler vectorize the scan.
-    bool row_finite = true;
-    for (index_t j = 0; j < c.cols; ++j) row_finite &= std::isfinite(row[j]);
-    if (!row_finite) return false;
-  }
-  return true;
-}
-
 GuardReport ProductGuard::verify(MatrixView<const float> a,
                                  MatrixView<const float> b,
                                  MatrixView<const float> c, Rng& rng,
@@ -112,16 +169,13 @@ GuardReport ProductGuard::verify(MatrixView<const float> a,
   GuardReport report;
   if (m == 0 || n == 0) return report;
 
-  if (!all_finite(c)) {
-    report.ok = false;
-    report.nonfinite_output = true;
-    return report;
-  }
-
   std::vector<double> r(static_cast<std::size_t>(n));
   std::vector<double> br(static_cast<std::size_t>(k));
   std::vector<double> abs_br(static_cast<std::size_t>(k));
   std::vector<double> scale(static_cast<std::size_t>(m));
+  std::vector<double> abr(static_cast<std::size_t>(m));
+  std::vector<double> cr(static_cast<std::size_t>(m));
+  const std::vector<double> ones(static_cast<std::size_t>(n), 1.0);
   // Every product — exact rules included — bottoms out in length-k float
   // accumulations, so O(k)*u roundoff rides on top of the sigma/phi bound.
   const double accumulation_floor = static_cast<double>(k) * std::exp2(-24);
@@ -141,43 +195,36 @@ GuardReport ProductGuard::verify(MatrixView<const float> a,
   double tolerance = 0;
   bool scale_ready = false;
   for (int probe = 0; probe < options_.num_probes; ++probe) {
+    const Rng before_probe = rng;
     // Rademacher probe: +-1 keeps every column's contribution at full
     // magnitude, so no error entry is attenuated out of the residual.
     for (auto& x : r) x = (rng.next_u64() & 1) ? 1.0 : -1.0;
 
-    for (index_t t = 0; t < k; ++t) {
-      const float* row = b.data + (transpose_b ? t : t * b.ld);
-      const auto ti = static_cast<std::size_t>(t);
-      if (!scale_ready) {
-        if (transpose_b) {
-          abs_and_dot<false>(row, b.ld, r.data(), n, abs_br[ti], br[ti]);
-        } else {
-          abs_and_dot<true>(row, 1, r.data(), n, abs_br[ti], br[ti]);
-        }
-      } else {
-        br[ti] = transpose_b ? dot<false>(row, b.ld, r.data(), n)
-                             : dot<true>(row, 1, r.data(), n);
-      }
+    // C r doubles as the non-finite scan of C: with r = +-1 and float entries
+    // summed in double (no overflow), (C r)_i is NaN or +-Inf exactly when
+    // row i of C holds a NaN or an Inf. Checked before any other pass, and
+    // the probe is handed back, as if the scan had run first on its own.
+    apply_op(c, false, m, n, r.data(), nullptr, cr.data(), nullptr);
+    if (probe == 0 && !std::all_of(cr.begin(), cr.end(),
+                                   [](double v) { return std::isfinite(v); })) {
+      rng = before_probe;
+      report.ok = false;
+      report.nonfinite_output = true;
+      return report;
     }
 
-    for (index_t i = 0; i < m; ++i) {
-      const float* row = a.data + (transpose_a ? i : i * a.ld);
-      const auto ii = static_cast<std::size_t>(i);
-      double abr;
-      if (!scale_ready) {
-        if (transpose_a) {
-          weighted_abs_and_dot<false>(row, a.ld, abs_br.data(), br.data(), k,
-                                      scale[ii], abr);
-        } else {
-          weighted_abs_and_dot<true>(row, 1, abs_br.data(), br.data(), k,
-                                     scale[ii], abr);
-        }
-      } else {
-        abr = transpose_a ? dot<false>(row, a.ld, br.data(), k)
-                          : dot<true>(row, 1, br.data(), k);
-      }
-      const double cr = dot<true>(c.data + i * c.ld, 1, r.data(), n);
-      residual[ii] = std::abs(cr - abr);
+    // br = op(B) r and, on the first probe, abs_br = |op(B)| 1; then
+    // abr = op(A) br and scale = |op(A)| abs_br.
+    if (!scale_ready) {
+      apply_op(b, transpose_b, k, n, r.data(), ones.data(), br.data(), abs_br.data());
+      apply_op(a, transpose_a, m, k, br.data(), abs_br.data(), abr.data(),
+               scale.data());
+    } else {
+      apply_op(b, transpose_b, k, n, r.data(), nullptr, br.data(), nullptr);
+      apply_op(a, transpose_a, m, k, br.data(), nullptr, abr.data(), nullptr);
+    }
+    for (std::size_t i = 0; i < residual.size(); ++i) {
+      residual[i] = std::abs(cr[i] - abr[i]);
     }
     if (!scale_ready) {
       double scale_max = 0;

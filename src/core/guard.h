@@ -11,9 +11,11 @@
 // Randomizing the probe (Malik & Becker, PAPERS.md) keeps a single adversarial
 // error pattern from hiding from a fixed test vector.
 //
-// The guard also scans the output block for non-finite values, which the
+// The guard also reports non-finite values in the output block, which the
 // residual test alone could miss only in pathological cancellation cases but
 // which deserve a distinct signal (fallback still helps when inputs are clean).
+// C·r is that scan: with a ±1 probe it is non-finite exactly in the rows of C
+// that hold a NaN or an Inf.
 
 #include "core/params.h"
 #include "support/matrix.h"
@@ -72,9 +74,6 @@ class ProductGuard {
                                    MatrixView<const float> c, Rng& rng,
                                    bool transpose_a = false,
                                    bool transpose_b = false) const;
-
-  /// Vectorizable non-finite scan over an output block.
-  [[nodiscard]] static bool all_finite(MatrixView<const float> c);
 
   [[nodiscard]] double relative_error_bound() const { return relative_error_bound_; }
   [[nodiscard]] const GuardOptions& options() const { return options_; }

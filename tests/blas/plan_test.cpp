@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "blas/isa.h"
 #include "blas/microkernel.h"
 #include "support/check.h"
 #include "support/matrix.h"
@@ -13,8 +16,13 @@
 namespace apa::blas {
 namespace {
 
-constexpr index_t kMr = detail::MicroShape<float>::kMr;
-constexpr index_t kNr = detail::MicroShape<float>::kNr;
+/// Single-precision register tile (MR, NR) of the kernel for `isa`.
+std::pair<index_t, index_t> float_tile(Isa isa) {
+  return detail::with_kernel<float>(isa, [](auto kernel) {
+    using K = decltype(kernel);
+    return std::pair<index_t, index_t>{K::kMr, K::kNr};
+  });
+}
 
 /// Builds op(A)/op(B) storage for the given transpose flags, runs gemm_planned
 /// with the requested prepack combination, and compares against gemm_reference.
@@ -45,11 +53,23 @@ void run_planned_case(Trans ta, Trans tb, index_t m, index_t n, index_t k,
       << " tb=" << (tb == Trans::kYes) << " pa=" << prepack_a << " pb=" << prepack_b;
 }
 
-// Edge dimensions around the register-tile shapes plus odd primes: a packed
-// panel must reproduce exactly what on-the-fly packing produces at every
-// micropanel boundary.
-const std::vector<index_t> kEdgeDims = {1,       kMr - 1, kMr + 1, kNr - 1,
-                                        kNr + 1, 37,      131};
+// Edge dimensions around every kernel's register tile (6x16 scalar and AVX2,
+// 14x32 AVX-512) plus odd primes: a packed panel must reproduce exactly what
+// on-the-fly packing produces at every micropanel boundary of whichever
+// kernel the host runs.
+const std::vector<index_t> kEdgeDims = [] {
+  std::vector<index_t> dims = {1, 37, 131};
+  for (const Isa isa : kAllIsas) {
+    const auto [mr, nr] = float_tile(isa);
+    for (const index_t tile : {mr, nr}) {
+      dims.push_back(tile - 1);
+      dims.push_back(tile + 1);
+    }
+  }
+  std::sort(dims.begin(), dims.end());
+  dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
+  return dims;
+}();
 
 using TransCase = std::tuple<int, int>;
 
@@ -123,7 +143,8 @@ TEST(EpilogueFusion, BitExactAgainstTwoPassAllKinds) {
         EpilogueKind::kReluGrad}) {
     expect_fusion_bit_exact(kind, 33, 47, 29, 1.0f, 0.0f, 1);
     // Edge tiles in both directions and multiple k-blocks.
-    expect_fusion_bit_exact(kind, kMr + 1, kNr + 1, 300, 1.0f, 0.0f, 1);
+    const auto [mr, nr] = float_tile(active_isa());
+    expect_fusion_bit_exact(kind, mr + 1, nr + 1, 300, 1.0f, 0.0f, 1);
     // alpha/beta interact with the epilogue only through the product value.
     expect_fusion_bit_exact(kind, 40, 24, 16, -1.5f, 0.5f, 1);
   }

@@ -234,10 +234,23 @@ TEST(Robustness, GuardFlagsNonfiniteOutput) {
   c(3, 5) = std::numeric_limits<float>::quiet_NaN();
 
   const ProductGuard guard(1e-6);
+  Rng untouched = rng;
   const GuardReport report =
       guard.verify(a.view().as_const(), b.view().as_const(), c.view().as_const(), rng);
   EXPECT_FALSE(report.ok);
   EXPECT_TRUE(report.nonfinite_output);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64()) << "a non-finite C consumed the probe";
+
+  // An Inf, and an Inf beside a -Inf in one row (their sum is NaN).
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  c(3, 5) = kInf;
+  EXPECT_TRUE(guard.verify(a.view().as_const(), b.view().as_const(),
+                           c.view().as_const(), rng)
+                  .nonfinite_output);
+  c(3, 6) = -kInf;
+  EXPECT_TRUE(guard.verify(a.view().as_const(), b.view().as_const(),
+                           c.view().as_const(), rng)
+                  .nonfinite_output);
 }
 
 TEST(Robustness, GuardVerifiesTransposedOperands) {

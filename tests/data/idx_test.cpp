@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/synthetic_mnist.h"
 #include "support/rng.h"
@@ -15,7 +16,11 @@ namespace {
 class IdxRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "apamm_idx_test";
+    // One directory per test: ctest runs the tests of this fixture in
+    // parallel processes, and each TearDown removes its directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("apamm_idx_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
