@@ -135,10 +135,11 @@ EpochStats train_epoch_guarded(Model& model, data::Dataset& dataset, index_t bat
   const std::string checkpoint = guard.checkpoint_path.empty()
                                      ? default_guard_checkpoint_path(&model)
                                      : guard.checkpoint_path;
-  // A run killed mid-save leaves a `.tmp` orphan next to the checkpoint;
-  // clear those before the first commit of this epoch.
-  cleanup_stale_checkpoint_temps(
-      std::filesystem::path(checkpoint).parent_path().string());
+  // A run killed mid-save leaves `<checkpoint>.tmp` behind; clear it before
+  // the first commit of this epoch. Only this checkpoint's own temp: the
+  // default location is the shared system temp directory, where other
+  // processes' guarded runs have commits in flight.
+  std::remove((checkpoint + ".tmp").c_str());
   {
     APA_TRACE_SCOPE("train.checkpoint");
     save_checkpoint(checkpoint, model);
