@@ -96,9 +96,9 @@ void macro_kernel(index_t mc, index_t nc, index_t kc, T alpha, const T* a_packed
 /// buffers are leased from the BufferPool, so the training loop's repeated
 /// calls at recurring shapes stop malloc-ing.
 template <class K, class T>
-void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, bool tb,
-                   const T* b, index_t ldb, const PackedPanel<T>* pb, index_t m,
-                   index_t n, index_t k, T alpha, T beta, T* c, index_t ldc,
+void engine_serial(bool ta, std::span<const Scaled<T>> a, const PackedPanel<T>* pa,
+                   bool tb, std::span<const Scaled<T>> b, const PackedPanel<T>* pb,
+                   index_t m, index_t n, index_t k, T alpha, T beta, T* c, index_t ldc,
                    const Epilogue<T>& ep) {
   constexpr index_t mc_max = BlockShape<K>::kMc;
   constexpr index_t kc_max = BlockShape<K>::kKc;
@@ -119,7 +119,7 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
         b_block = pb->block(jc / nc_max, pc / kc_max);
       } else {
         APA_TRACE_SCOPE("blas.pack_b");
-        detail::pack_b<K>(tb, b, ldb, pc, jc, kc, nc, b_buf.data());
+        detail::pack_b<K>(b, tb, pc, jc, kc, nc, b_buf.data());
         b_block = b_buf.data();
       }
       for (index_t ic = 0; ic < m; ic += mc_max) {
@@ -129,7 +129,7 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
           a_block = pa->block(ic / mc_max, pc / kc_max);
         } else {
           APA_TRACE_SCOPE("blas.pack_a");
-          detail::pack_a<K>(ta, a, lda, ic, pc, mc, kc, a_buf.data());
+          detail::pack_a<K>(a, ta, ic, pc, mc, kc, a_buf.data());
           a_block = a_buf.data();
         }
         APA_TRACE_SCOPE("blas.kernel");
@@ -147,8 +147,8 @@ void engine_serial(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa, b
 /// redundantly in every thread. The implicit barrier after each `omp for`
 /// orders packing before compute and compute before the next block's repack.
 template <class K, class T>
-void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
-                     bool tb, const T* b, index_t ldb, const PackedPanel<T>* pb,
+void engine_parallel(bool ta, std::span<const Scaled<T>> a, const PackedPanel<T>* pa,
+                     bool tb, std::span<const Scaled<T>> b, const PackedPanel<T>* pb,
                      index_t m, index_t n, index_t k, T alpha, T beta, T* c,
                      index_t ldc, const Epilogue<T>& ep, int threads) {
   constexpr index_t mr = K::kMr;
@@ -180,8 +180,8 @@ void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
           APA_TRACE_SCOPE("blas.pack_b");
 #pragma omp for schedule(static)
           for (index_t q = 0; q < n_panels; ++q) {
-            detail::pack_b_panel<K>(tb, b, ldb, pc, jc + q * nr, kc,
-                                    std::min(nr, nc - q * nr), b_shared + q * kc * nr);
+            detail::pack_b<K>(b, tb, pc, jc + q * nr, kc, std::min(nr, nc - q * nr),
+                              b_shared + q * kc * nr);
           }
           b_block = b_shared;
         }
@@ -195,9 +195,8 @@ void engine_parallel(bool ta, const T* a, index_t lda, const PackedPanel<T>* pa,
             APA_TRACE_SCOPE("blas.pack_a");
 #pragma omp for schedule(static)
             for (index_t p = 0; p < m_panels; ++p) {
-              detail::pack_a_panel<K>(ta, a, lda, ic + p * mr, pc,
-                                      std::min(mr, mc - p * mr), kc,
-                                      a_shared + p * mr * kc);
+              detail::pack_a<K>(a, ta, ic + p * mr, pc, std::min(mr, mc - p * mr), kc,
+                                a_shared + p * mr * kc);
             }
             a_block = a_shared;
           }
@@ -264,6 +263,8 @@ PackedPanel<T> PackedPanel<T>::pack_a(bool trans, MatrixView<const T> stored,
   p.isa_ = active_isa();
   p.rows_ = trans ? stored.cols : stored.rows;  // m
   p.cols_ = trans ? stored.rows : stored.cols;  // k
+  const Scaled<T> one[] = {{T{1}, stored}};
+  const std::span<const Scaled<T>> term(one);
   detail::with_kernel<T>(p.isa_, [&](auto kernel) {
     using K = decltype(kernel);
     constexpr index_t mr = K::kMr;
@@ -289,7 +290,7 @@ PackedPanel<T> PackedPanel<T>::pack_a(bool trans, MatrixView<const T> stored,
       const index_t mc = std::min(mc_max, p.rows_ - ic);
       const index_t kc = std::min(kc_max, p.cols_ - pc);
       T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
-      detail::pack_a<K>(trans, stored.data, stored.ld, ic, pc, mc, kc, dst);
+      detail::pack_a<K>(term, trans, ic, pc, mc, kc, dst);
     }
   });
   return p;
@@ -304,6 +305,8 @@ PackedPanel<T> PackedPanel<T>::pack_b(bool trans, MatrixView<const T> stored,
   p.isa_ = active_isa();
   p.rows_ = trans ? stored.cols : stored.rows;  // k
   p.cols_ = trans ? stored.rows : stored.cols;  // n
+  const Scaled<T> one[] = {{T{1}, stored}};
+  const std::span<const Scaled<T>> term(one);
   detail::with_kernel<T>(p.isa_, [&](auto kernel) {
     using K = decltype(kernel);
     constexpr index_t nr = K::kNr;
@@ -325,15 +328,15 @@ PackedPanel<T> PackedPanel<T>::pack_b(bool trans, MatrixView<const T> stored,
       const index_t nc = std::min(nc_max, p.cols_ - jc);
       const index_t kc = std::min(kc_max, p.rows_ - pc);
       T* dst = p.storage_.data() + static_cast<std::size_t>(blk) * p.slot_;
-      detail::pack_b<K>(trans, stored.data, stored.ld, pc, jc, kc, nc, dst);
+      detail::pack_b<K>(term, trans, pc, jc, kc, nc, dst);
     }
   });
   return p;
 }
 
 template <class T>
-void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packed,
-                  Trans tb, MatrixView<const T> b, const PackedPanel<T>* b_packed,
+void gemm_planned(Trans ta, std::span<const Scaled<T>> a, const PackedPanel<T>* a_packed,
+                  Trans tb, std::span<const Scaled<T>> b, const PackedPanel<T>* b_packed,
                   MatrixView<T> c, T alpha, T beta, const Epilogue<T>& epilogue,
                   int num_threads) {
   APA_TRACE_SCOPE("blas.gemm");
@@ -342,12 +345,19 @@ void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packe
   } else {
     APA_COUNTER_INC("blas.gemm.prepack_misses");
   }
+  APA_CHECK_MSG(!a.empty() && !b.empty(), "gemm operands need at least one term");
+  for (const auto* terms : {&a, &b}) {
+    for (const Scaled<T>& t : *terms) {
+      APA_CHECK(t.view.rows == (*terms)[0].view.rows &&
+                t.view.cols == (*terms)[0].view.cols);
+    }
+  }
   const bool tra = (ta == Trans::kYes);
   const bool trb = (tb == Trans::kYes);
-  const index_t m = tra ? a.cols : a.rows;
-  const index_t k = tra ? a.rows : a.cols;
-  const index_t kb = trb ? b.cols : b.rows;
-  const index_t n = trb ? b.rows : b.cols;
+  const index_t m = tra ? a[0].view.cols : a[0].view.rows;
+  const index_t k = tra ? a[0].view.rows : a[0].view.cols;
+  const index_t kb = trb ? b[0].view.cols : b[0].view.rows;
+  const index_t n = trb ? b[0].view.rows : b[0].view.cols;
   APA_CHECK(k == kb && c.rows == m && c.cols == n);
   // Classical operation count, recorded so the tuning layer can calibrate an
   // achieved-GFLOPS machine constant from ordinary traffic: dividing this
@@ -392,11 +402,11 @@ void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packe
     const int usable =
         static_cast<int>(std::min<index_t>(num_threads, (n + K::kNr - 1) / K::kNr));
     if (usable <= 1) {
-      engine_serial<K>(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m, n,
-                       k, alpha, beta, c.data, c.ld, epilogue);
+      engine_serial<K>(tra, a, a_packed, trb, b, b_packed, m, n, k, alpha, beta, c.data,
+                       c.ld, epilogue);
     } else {
-      engine_parallel<K>(tra, a.data, a.ld, a_packed, trb, b.data, b.ld, b_packed, m,
-                         n, k, alpha, beta, c.data, c.ld, epilogue, usable);
+      engine_parallel<K>(tra, a, a_packed, trb, b, b_packed, m, n, k, alpha, beta,
+                         c.data, c.ld, epilogue, usable);
     }
   });
 }
@@ -405,15 +415,15 @@ template void apply_epilogue<float>(const Epilogue<float>&, MatrixView<float>);
 template void apply_epilogue<double>(const Epilogue<double>&, MatrixView<double>);
 template class PackedPanel<float>;
 template class PackedPanel<double>;
-template void gemm_planned<float>(Trans, MatrixView<const float>,
+template void gemm_planned<float>(Trans, std::span<const Scaled<float>>,
                                   const PackedPanel<float>*, Trans,
-                                  MatrixView<const float>, const PackedPanel<float>*,
-                                  MatrixView<float>, float, float,
-                                  const Epilogue<float>&, int);
-template void gemm_planned<double>(Trans, MatrixView<const double>,
+                                  std::span<const Scaled<float>>,
+                                  const PackedPanel<float>*, MatrixView<float>, float,
+                                  float, const Epilogue<float>&, int);
+template void gemm_planned<double>(Trans, std::span<const Scaled<double>>,
                                    const PackedPanel<double>*, Trans,
-                                   MatrixView<const double>, const PackedPanel<double>*,
-                                   MatrixView<double>, double, double,
-                                   const Epilogue<double>&, int);
+                                   std::span<const Scaled<double>>,
+                                   const PackedPanel<double>*, MatrixView<double>,
+                                   double, double, const Epilogue<double>&, int);
 
 }  // namespace apa::blas

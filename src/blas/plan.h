@@ -27,6 +27,9 @@
 // strips is parallelized. This replaces the old column-stripe scheme, which
 // packed A redundantly in every thread.
 
+#include <span>
+
+#include "blas/combine.h"
 #include "blas/gemm.h"
 #include "blas/isa.h"
 #include "support/matrix.h"
@@ -109,17 +112,35 @@ class PackedPanel {
   PooledBuffer<T> storage_;
 };
 
-/// c = alpha * op(A) * op(B) + beta * c, then the epilogue. `a_packed` /
-/// `b_packed` may be null (the operand is packed on the fly from its view) or
-/// must match the corresponding view's op-shape exactly and have been packed
-/// for the active kernel. Views must always be valid — panels only bypass
-/// reading their data. num_threads == 1 performs no OpenMP calls (safe under
-/// an enclosing parallel region).
+/// c = alpha * op(A) * op(B) + beta * c, then the epilogue, where each operand
+/// is a linear combination of stored views: A = sum_t a[t].coeff * a[t].view
+/// (all views of one shape; `ta` transposes every one of them), likewise B.
+/// The combination is gathered straight into the packed micropanels, rounded
+/// as linear_combination (or linear_combination_transposed) into a temporary
+/// would round it, so the result is bit-identical to combining first and
+/// multiplying the temporaries. `a_packed` / `b_packed` may be null (the
+/// operand is packed on the fly from its terms) or must match the operand's
+/// op-shape exactly and have been packed for the active kernel. Terms must
+/// always be valid — panels only bypass reading their data. num_threads == 1
+/// performs no OpenMP calls (safe under an enclosing parallel region).
+template <class T>
+void gemm_planned(Trans ta, std::span<const Scaled<T>> a, const PackedPanel<T>* a_packed,
+                  Trans tb, std::span<const Scaled<T>> b, const PackedPanel<T>* b_packed,
+                  MatrixView<T> c, T alpha, T beta, const Epilogue<T>& epilogue,
+                  int num_threads);
+
+/// The plain-operand form: each operand is one stored view.
 template <class T>
 void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packed,
                   Trans tb, MatrixView<const T> b, const PackedPanel<T>* b_packed,
                   MatrixView<T> c, T alpha = T{1}, T beta = T{0},
-                  const Epilogue<T>& epilogue = {}, int num_threads = 1);
+                  const Epilogue<T>& epilogue = {}, int num_threads = 1) {
+  const Scaled<T> a_term[] = {{T{1}, a}};
+  const Scaled<T> b_term[] = {{T{1}, b}};
+  gemm_planned<T>(ta, std::span<const Scaled<T>>(a_term), a_packed, tb,
+                  std::span<const Scaled<T>>(b_term), b_packed, c, alpha, beta,
+                  epilogue, num_threads);
+}
 
 /// Convenience: no prepacked operands, epilogue fused into the blocked gemm.
 template <class T>
@@ -182,14 +203,14 @@ extern template void apply_epilogue<double>(const Epilogue<double>&,
                                             MatrixView<double>);
 extern template class PackedPanel<float>;
 extern template class PackedPanel<double>;
-extern template void gemm_planned<float>(Trans, MatrixView<const float>,
+extern template void gemm_planned<float>(Trans, std::span<const Scaled<float>>,
                                          const PackedPanel<float>*, Trans,
-                                         MatrixView<const float>,
+                                         std::span<const Scaled<float>>,
                                          const PackedPanel<float>*, MatrixView<float>,
                                          float, float, const Epilogue<float>&, int);
-extern template void gemm_planned<double>(Trans, MatrixView<const double>,
+extern template void gemm_planned<double>(Trans, std::span<const Scaled<double>>,
                                           const PackedPanel<double>*, Trans,
-                                          MatrixView<const double>,
+                                          std::span<const Scaled<double>>,
                                           const PackedPanel<double>*,
                                           MatrixView<double>, double, double,
                                           const Epilogue<double>&, int);

@@ -1,5 +1,6 @@
 #include "core/cost_model.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "blas/combine.h"
@@ -22,23 +23,14 @@ double addition_traffic_bytes(const Rule& rule, index_t m_full, index_t k_full,
   double elements = 0;
   for (index_t l = 0; l < rule.rank; ++l) {
     index_t u_terms = 0, v_terms = 0;
-    bool u_unit = false, v_unit = false;
     for (index_t e = 0; e < rule.m * rule.k; ++e) {
-      const LaurentPoly& p = rule.u[e * rule.rank + l];
-      if (!p.is_zero()) {
-        ++u_terms;
-        u_unit = p.is_constant() && p.constant_term().is_one();
-      }
+      u_terms += !rule.u[e * rule.rank + l].is_zero();
     }
     for (index_t e = 0; e < rule.k * rule.n; ++e) {
-      const LaurentPoly& p = rule.v[e * rule.rank + l];
-      if (!p.is_zero()) {
-        ++v_terms;
-        v_unit = p.is_constant() && p.constant_term().is_one();
-      }
+      v_terms += !rule.v[e * rule.rank + l].is_zero();
     }
-    if (!(u_terms == 1 && u_unit)) elements += static_cast<double>(u_terms + 1) * a_block;
-    if (!(v_terms == 1 && v_unit)) elements += static_cast<double>(v_terms + 1) * b_block;
+    elements += static_cast<double>(std::max<index_t>(u_terms - 1, 0)) * a_block;
+    elements += static_cast<double>(std::max<index_t>(v_terms - 1, 0)) * b_block;
   }
   for (index_t e = 0; e < rule.m * rule.n; ++e) {
     index_t w_terms = 0;

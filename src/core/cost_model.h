@@ -9,11 +9,14 @@
 
 namespace apa::core {
 
-/// Bytes moved by the write-once linear combinations of one step applied to an
-/// (M x K) * (K x N) product: every multi-term input combination reads its
-/// source blocks and writes one temp; every output entry reads its product
-/// blocks and writes one C block. Single-term unit-coefficient input
-/// combinations are free (the executor aliases the block).
+/// Bytes moved by the linear combinations of one step applied to an
+/// (M x K) * (K x N) product, beyond what a plain gemm of each product moves.
+/// The step runs at the bottom of the recursion, where the gemm packs every
+/// input combination straight from its source blocks: a t-term combination
+/// costs its t - 1 extra source-block reads (the pack reads one block for a
+/// plain operand anyway) and no temp, so single-term combinations are free
+/// whatever their coefficient. Every output entry reads its product blocks
+/// and writes one C block.
 [[nodiscard]] double addition_traffic_bytes(const Rule& rule, index_t m_full,
                                             index_t k_full, index_t n_full,
                                             std::size_t element_size = sizeof(float));

@@ -18,16 +18,36 @@ TEST(CostModel, ClassicalRuleHasOnlyOutputWrites) {
 
 TEST(CostModel, StrassenTrafficMatchesHandCount) {
   // Strassen at block size b = (dim/2)^2 elements:
-  //  inputs: M1,M6,M7 have 2-term U and V; M2,M5 2-term on one side only;
-  //  M3,M4 2-term V only. Multi-term combos: U in {M1,M2,M5->? } count:
   //  U terms per product: 2,2,1,1,2,2,2 ; V terms: 2,1,2,2,1,2,2.
-  //  U traffic: products with U>1 (5 of them): (2+1)*b each = 15b.
-  //  V traffic: products with V>1 (5): 15b.
+  //  U traffic: the pack of each 2-term combination (5 of them) reads one
+  //  extra source block: (2-1)*b each = 5b.
+  //  V traffic: likewise 5b.
   //  W: entries have 4,2,2,4 terms -> (5+3+3+5) b = 16b.
   const Rule rule = strassen();
   const double b = 32.0 * 32.0;  // dim 64
   EXPECT_DOUBLE_EQ(addition_traffic_bytes(rule, 64, 64, 64),
-                   (15 + 15 + 16) * b * sizeof(float));
+                   (5 + 5 + 16) * b * sizeof(float));
+}
+
+TEST(CostModel, SingleTermInputsAreFreeWhateverTheirCoefficient) {
+  // bini322 at lambda: every product's single-term A or B operand carries a
+  // non-unit coefficient on some products; the pack scales it in passing, so
+  // only multi-term combinations (t - 1 extra reads each) and C cost traffic.
+  const Rule rule = bini322();
+  const double a_block = 20.0 * 30.0, b_block = 30.0 * 30.0, c_block = 20.0 * 30.0;
+  double want = 0;
+  for (index_t l = 0; l < rule.rank; ++l) {
+    index_t u = 0, v = 0;
+    for (index_t e = 0; e < rule.m * rule.k; ++e) u += !rule.u[e * rule.rank + l].is_zero();
+    for (index_t e = 0; e < rule.k * rule.n; ++e) v += !rule.v[e * rule.rank + l].is_zero();
+    want += static_cast<double>(u - 1) * a_block + static_cast<double>(v - 1) * b_block;
+  }
+  for (index_t e = 0; e < rule.m * rule.n; ++e) {
+    index_t w = 0;
+    for (index_t l = 0; l < rule.rank; ++l) w += !rule.w[e * rule.rank + l].is_zero();
+    want += static_cast<double>(w + 1) * c_block;
+  }
+  EXPECT_DOUBLE_EQ(addition_traffic_bytes(rule, 60, 60, 60), want * sizeof(float));
 }
 
 TEST(CostModel, TrafficScalesWithBlockArea) {
