@@ -6,7 +6,7 @@
 //               [--batch=300] [--lr=0.1] [--mnist-dir=PATH] [--guard]
 //               [--tune] [--tune-cache=PATH]
 //               [--trace-out=trace.json] [--metrics-out=metrics.jsonl] [--trace-cap=N]
-//               [--flight-dir=DIR] [--metrics-snapshot=PATH:SECONDS]
+//               [--flight-dir=DIR]
 //               [--workers=N] [--shard-dir=PATH] [--inject-fault=SPEC]
 //
 // --tune routes the fast layer through the self-tuning backend router
@@ -23,11 +23,9 @@
 // spans per thread for long runs (default 64Ki, oldest dropped on overflow).
 // --flight-dir arms the flight recorder: on a guard trip, rollback, rewind,
 // ApaError, or fatal signal the per-worker black-box rings dump to
-// flight_<rank>.json in DIR. --metrics-snapshot periodically publishes the
-// counters in Prometheus text format (atomic rename). With --workers=N > 1
-// the trace/metrics paths are suffixed per rank (trace.rank0.json, ...) and
-// tools/obs/trace_merge fuses the per-rank traces into one clock-aligned
-// timeline. See docs/OBSERVABILITY.md.
+// flight_<rank>.json in DIR. With --workers=N > 1 the one trace carries a
+// "rank R" track per worker thread, and every worker's records land in the
+// one metrics stream tagged with "rank". See docs/OBSERVABILITY.md.
 //
 // --workers=N (N > 1) switches to fault-tolerant data-parallel training:
 // N replica workers over disjoint dataset shards with a shared-memory
@@ -81,10 +79,6 @@ int main(int argc, char** argv) {
   obs_options.trace_cap_events =
       static_cast<std::uint64_t>(args.get_int("trace-cap", 0));
   obs_options.flight_dir = args.get("flight-dir", "");
-  obs_options.snapshot_spec = args.get("metrics-snapshot", "");
-  // Per-rank file suffixing: N workers must never interleave on one trace or
-  // metrics file (docs/OBSERVABILITY.md §Distributed mode).
-  obs_options.ranks = workers;
   obs::ObsSession obs_session(obs_options);
   const std::string algo = args.get("algo", "bini322");
   const int epochs = static_cast<int>(args.get_int("epochs", 5));
@@ -142,9 +136,6 @@ int main(int argc, char** argv) {
     dist_options.batch = batch;
     dist_options.checkpoint_dir = args.get("shard-dir", "dist_ckpt");
     dist_options.telemetry = obs_session.telemetry();
-    dist_options.rank_telemetry = [&obs_session](int rank) {
-      return obs_session.rank_telemetry(rank);
-    };
     const dist::DistFaultPolicy faults =
         dist::DistFaultPolicy::parse(args.get("inject-fault", ""));
 

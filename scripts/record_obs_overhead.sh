@@ -39,9 +39,11 @@ import json, sys
 out_path, budget = sys.argv[1], float(sys.argv[2])
 
 def prepack_seconds(path):
+    # The gemm-batch rows only: the operand-table rows time packing and
+    # combines, which carry no obs sites, and would dilute the ratio.
     rows = json.load(open(path))["rows"]
     return sum(r["plain_seconds"] + r["prepacked_seconds"] + r["fused_seconds"]
-               for r in rows)
+               for r in rows if "plain_seconds" in r)
 
 def conv_seconds(path):
     rows = json.load(open(path))["rows"]

@@ -1,6 +1,7 @@
 #include "dist/control.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "nn/checkpoint_io.h"
 #include "obs/metrics.h"
@@ -11,11 +12,15 @@ namespace apa::dist {
 namespace {
 constexpr auto kPollSlice = std::chrono::milliseconds(5);
 
+/// Serial of each ControlBlock in this process; see ControlBlock::run_.
+std::atomic<std::uint64_t> g_next_run{0};
+
 /// Trace flow id pairing a published contribution with its consumption; the
 /// consumer derives it from the publisher's rank alone.
-std::uint64_t contribution_flow_id(int rank, index_t step,
+std::uint64_t contribution_flow_id(std::uint64_t run, int rank, index_t step,
                                    std::uint64_t rewind_round) {
-  std::uint64_t hash = nn::ckpt::fnv1a(&rank, sizeof(rank));
+  std::uint64_t hash = nn::ckpt::fnv1a(&run, sizeof(run));
+  hash = nn::ckpt::fnv1a(&rank, sizeof(rank), hash);
   hash = nn::ckpt::fnv1a(&step, sizeof(step), hash);
   hash = nn::ckpt::fnv1a(&rewind_round, sizeof(rewind_round), hash);
   return hash != 0 ? hash : 1;
@@ -25,6 +30,7 @@ std::uint64_t contribution_flow_id(int rank, index_t step,
 ControlBlock::ControlBlock(int num_workers, double heartbeat_timeout_s)
     : num_workers_(num_workers),
       heartbeat_timeout_s_(heartbeat_timeout_s),
+      run_(g_next_run.fetch_add(1, std::memory_order_relaxed)),
       alive_(static_cast<std::size_t>(num_workers), true),
       contributions_(static_cast<std::size_t>(num_workers), nullptr),
       rewind_joined_(static_cast<std::size_t>(num_workers), false),
@@ -262,7 +268,7 @@ void ControlBlock::reduce_locked(int consumer, index_t step) {
     }
     if (r != consumer) {
       APA_TRACE_FLOW_IN("dist.contribution",
-                        contribution_flow_id(r, step, rewind_round_));
+                        contribution_flow_id(run_, r, step, rewind_round_));
     }
     ++n;
   }
@@ -312,7 +318,7 @@ CollectiveStatus ControlBlock::allreduce_mean(int rank,
     }
     if (!published) {
       APA_TRACE_FLOW_OUT("dist.contribution",
-                         contribution_flow_id(rank, step, rewind_round_));
+                         contribution_flow_id(run_, rank, step, rewind_round_));
       published = true;
     }
     cv_.wait_for(mu_, kPollSlice);

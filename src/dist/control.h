@@ -158,6 +158,10 @@ class ControlBlock {
 
   const int num_workers_;
   const double heartbeat_timeout_s_;
+  /// Process-wide serial of this block, part of every contribution's trace
+  /// flow id: step numbers restart with each train_data_parallel call, and
+  /// one trace can hold several calls (one per epoch in the examples).
+  const std::uint64_t run_;
 
   mutable Mutex mu_;
   CondVar cv_;

@@ -28,7 +28,6 @@ namespace {
 constexpr std::uint64_t kTagCkptShards = std::uint64_t{1} << 60;
 constexpr std::uint64_t kTagCkptManifest = std::uint64_t{2} << 60;
 constexpr std::uint64_t kTagRewindVerify = std::uint64_t{3} << 60;
-constexpr std::uint64_t kTagClockSync = std::uint64_t{4} << 60;
 
 index_t flat_grad_size(const nn::Mlp& model) {
   index_t total = 0;
@@ -122,8 +121,7 @@ class Worker {
         rank_(rank),
         model_(std::move(model)),
         result_(result),
-        sink_(ctx.options.rank_telemetry ? ctx.options.rank_telemetry(rank)
-                                         : nullptr),
+        sink_(ctx.options.telemetry),
         loader_(&ctx.dataset, ctx.options.batch, ctx.options.seed) {}
 
   void run() {
@@ -143,20 +141,6 @@ class Worker {
     std::vector<int> live;
     shard_membership_ = ctx_.control.live_snapshot(&live);
     loader_.reshard(shard_for(ctx_.dataset.size(), live, rank_));
-  }
-
-  /// Clock-alignment handshake: every worker samples its steady clock while
-  /// all ranks sit at the same barrier, so the pairwise mark skew is bounded
-  /// by the barrier release jitter. The mark is exported with the per-rank
-  /// trace (clockSync) and used by tools/obs/trace_merge to shift all worker
-  /// timelines onto one axis. Skipped when tracing is off; a failed barrier
-  /// (abort during startup) just leaves the mark unset.
-  void clock_sync() {
-    if (!obs::tracing()) return;
-    const BarrierResult br =
-        ctx_.control.barrier(rank_, kTagClockSync, opts().barrier_timeout_s,
-                             /*rewind_interrupts=*/false);
-    if (br == BarrierResult::kOk) obs::clock_mark(rank_);
   }
 
   /// Distributed-consistent rollback: propose, two-phase barrier, restore,
@@ -217,7 +201,7 @@ class Worker {
     }
     // Postmortem artifacts: the coordinator preserves the pre-rewind flight
     // rings (peers coalesce on the dump flag), and every worker appends its
-    // own "dist_rewind" record to its per-rank sink.
+    // own "dist_rewind" record to the shared sink.
     if (rank_ == ctx_.control.coordinator()) obs::flight_dump("rewind");
     if (sink_ != nullptr) {
       obs::JsonRecord record;
@@ -308,7 +292,6 @@ class Worker {
     obs::set_thread_rank(rank_);
     ctx_.control.heartbeat(rank_);
     resync_shard();
-    clock_sync();
 
     const index_t grad_size = flat_grad_size(model_);
     std::vector<float> flat(static_cast<std::size_t>(grad_size) + 1);
@@ -484,7 +467,7 @@ class Worker {
   int rank_ = -1;
   nn::Mlp model_;
   WorkerResult& result_;
-  obs::TelemetrySink* sink_;  ///< per-rank JSONL sink (may be null; not owned)
+  obs::TelemetrySink* sink_;  ///< shared JSONL sink (may be null; not owned)
   ShardLoader loader_;
   std::uint64_t shard_membership_ = 0;
   index_t last_checkpoint_step_ = -1;

@@ -76,14 +76,10 @@ struct DistTrainOptions {
 
   /// Shared schedule seed: batch draws derive from it.
   std::uint64_t seed = 1234;
-  /// Optional JSONL sink (not owned); the surviving coordinator appends one
-  /// "dist_epoch" record.
+  /// Optional JSONL sink (not owned). Each worker appends its "dist_rewind"
+  /// and end-of-epoch "dist_worker" records, tagged with its rank, and the
+  /// surviving coordinator appends one "dist_epoch" record.
   obs::TelemetrySink* telemetry = nullptr;
-  /// Optional per-rank sinks (not owned; may return nullptr for a rank):
-  /// each worker appends its own "dist_rewind" and end-of-epoch "dist_worker"
-  /// records there, so N workers never interleave on one JSONL file.
-  /// ObsSession::rank_telemetry is the intended source (docs/OBSERVABILITY.md).
-  std::function<obs::TelemetrySink*(int rank)> rank_telemetry;
 };
 
 struct DistEpochStats {

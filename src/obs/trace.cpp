@@ -103,11 +103,6 @@ PhaseRegistry& phase_registry() {
   return *r;
 }
 
-/// Per-rank barrier clock marks for trace_merge alignment. Fixed-size atomic
-/// table so publication from worker threads takes no lock.
-constexpr int kMaxClockRanks = 64;
-std::atomic<std::uint64_t> g_clock_marks[kMaxClockRanks] = {};
-
 }  // namespace
 
 void record_event(const char* name, std::int64_t id, std::uint64_t start_ns,
@@ -181,28 +176,6 @@ void set_thread_rank(int rank) {
 }
 
 int thread_rank() { return detail::tls_rank; }
-
-void clock_mark(int rank) {
-  if (rank < 0 || rank >= detail::kMaxClockRanks) return;
-  detail::g_clock_marks[rank].store(detail::now_ns(),
-                                    std::memory_order_relaxed);
-}
-
-std::vector<ClockMark> clock_marks() {
-  std::vector<ClockMark> out;
-  for (int r = 0; r < detail::kMaxClockRanks; ++r) {
-    const std::uint64_t mark =
-        detail::g_clock_marks[r].load(std::memory_order_relaxed);
-    if (mark != 0) out.push_back({r, mark});
-  }
-  return out;
-}
-
-void reset_clock_marks() {
-  for (auto& mark : detail::g_clock_marks) {
-    mark.store(0, std::memory_order_relaxed);
-  }
-}
 
 void set_trace_capacity(std::uint64_t events_per_thread) {
   const std::uint64_t cap = std::max<std::uint64_t>(events_per_thread, 1);
@@ -323,9 +296,6 @@ void set_tracing(bool) {}
 bool tracing() { return false; }
 void set_thread_rank(int) {}
 int thread_rank() { return -1; }
-void clock_mark(int) {}
-std::vector<ClockMark> clock_marks() { return {}; }
-void reset_clock_marks() {}
 std::vector<PhaseTotal> phase_totals() { return {}; }
 std::vector<PhaseTotal> phase_delta(const std::vector<PhaseTotal>&,
                                     const std::vector<PhaseTotal>&) {

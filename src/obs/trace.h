@@ -10,13 +10,11 @@
 //     (obs/trace_export.h). Rings are single-producer (the owning thread) and
 //     drained at export time, so recording takes no lock.
 //
-// Distributed correlation (docs/OBSERVABILITY.md §Distributed runs): a thread
-// can declare the worker rank it acts for (set_thread_rank), the all-reduce
-// records paired flow events (APA_TRACE_FLOW_OUT/IN) when a contribution is
-// published and when it is consumed, keyed by an id both sides derive, and
-// clock_mark() publishes a per-rank barrier timestamp that
-// tools/obs/trace_merge uses to align N per-rank trace files onto one
-// timeline.
+// Data-parallel correlation (docs/OBSERVABILITY.md §Distributed runs): a
+// thread can declare the worker rank it acts for (set_thread_rank), which
+// names its trace track and its flight dump, and the all-reduce records
+// paired flow events (APA_TRACE_FLOW_OUT/IN) when a contribution is published
+// and when it is consumed, keyed by an id both sides derive.
 //
 // Configuring with -DAPAMM_OBS=OFF compiles every macro to a no-op with zero
 // runtime cost; the query functions below remain callable and return empty.
@@ -61,12 +59,6 @@ struct TraceEventView {
   std::uint64_t dur_ns = 0;
 };
 
-/// Per-rank clock-alignment mark captured at a dist barrier (clock_mark).
-struct ClockMark {
-  int rank = -1;
-  std::uint64_t mark_ns = 0;
-};
-
 // Runtime controls. All are no-ops (and the getters constant) when compiled out.
 void set_enabled(bool on);
 [[nodiscard]] bool enabled();
@@ -74,19 +66,11 @@ void set_tracing(bool on);
 [[nodiscard]] bool tracing();
 
 /// Declares the dist worker rank the calling thread acts for; recorded events
-/// from this thread carry the rank so per-rank trace files can be split out.
-/// Threads that never call this stay at rank -1 (exported with rank 0's file).
+/// from this thread carry the rank, so its trace track is named "rank R".
+/// Threads that never call this stay at rank -1 (track "thread N").
 void set_thread_rank(int rank);
 /// The calling thread's declared rank, or -1.
 [[nodiscard]] int thread_rank();
-
-/// Publishes "rank's steady clock read `now` while all live workers sat at the
-/// same barrier". trace_merge subtracts the pairwise mark deltas to place N
-/// per-rank trace files on one aligned timeline. Last call per rank wins.
-void clock_mark(int rank);
-/// All published marks, sorted by rank. Empty when compiled out.
-[[nodiscard]] std::vector<ClockMark> clock_marks();
-void reset_clock_marks();
 
 /// Bounds ring retention to `events_per_thread` spans (default 64Ki; clamped
 /// to >= 1). Safe to call while other threads are actively recording: the
@@ -175,8 +159,8 @@ class Span {
 };
 
 /// Records one side of a cross-worker flow arrow (zero-duration event bound to
-/// the enclosing slice in Perfetto). `id` must match on both sides — dist uses
-/// the Message trace-context span id.
+/// the enclosing slice in Perfetto). `id` must match on both sides — dist
+/// derives it from the run, the publisher's rank, the step and the rewind round.
 inline void record_flow(Phase* phase, std::uint64_t id, bool out) {
   if (!detail::g_tracing.load(std::memory_order_relaxed)) return;
   detail::record_event(phase->name(), static_cast<std::int64_t>(id),

@@ -9,97 +9,40 @@
 
 namespace apa::obs {
 
-namespace {
-
-bool rank_matches(const TraceEventView& ev, int rank) {
-  if (rank < 0) return true;
-  // Threads that never declared a rank (main thread, OMP pool) belong to the
-  // coordinator's file so their spans are not lost in per-rank exports.
-  const int effective = ev.rank < 0 ? 0 : ev.rank;
-  return effective == rank;
-}
-
-}  // namespace
-
-std::string chrome_trace_json() { return chrome_trace_json({}); }
-
-std::string chrome_trace_json(const TraceExportOptions& options) {
+std::string chrome_trace_json() {
   const std::vector<TraceEventView> events = trace_events();
 
-  // Rebase over ALL events (not just the rank-filtered ones) unless the
-  // caller pinned an origin: every per-rank file from this process then
-  // shares one base, which trace_merge relies on.
-  std::uint64_t t0 = options.t0_ns;
-  if (t0 == 0) {
-    t0 = std::numeric_limits<std::uint64_t>::max();
-    for (const TraceEventView& ev : events) {
-      t0 = ev.start_ns < t0 ? ev.start_ns : t0;
-    }
-    if (events.empty()) t0 = 0;
-  }
-
-  std::vector<const TraceEventView*> selected;
-  selected.reserve(events.size());
-  int max_tid = 0;
+  std::uint64_t t0 = std::numeric_limits<std::uint64_t>::max();
   for (const TraceEventView& ev : events) {
-    if (!rank_matches(ev, options.rank)) continue;
-    selected.push_back(&ev);
-    max_tid = ev.tid > max_tid ? ev.tid : max_tid;
+    t0 = ev.start_ns < t0 ? ev.start_ns : t0;
+  }
+  if (events.empty()) t0 = 0;
+
+  // Track names come from the rank each thread declared; -1 = none.
+  std::vector<int> tid_rank;
+  for (const TraceEventView& ev : events) {
+    const auto tid = static_cast<std::size_t>(ev.tid);
+    if (tid >= tid_rank.size()) tid_rank.resize(tid + 1, -1);
+    tid_rank[tid] = ev.rank;
   }
 
   std::string out;
-  out.reserve(selected.size() * 96 + 512);
-  out += "{\n\"displayTimeUnit\": \"ms\",\n";
-  {
-    char buf[160];
-    // Clock-alignment metadata for trace_merge: this rank's barrier mark,
-    // rebased like the events. The mark can legitimately be negative (the
-    // barrier fires before the earliest retained event), so absence is
-    // encoded by omitting mark_us, never by a sentinel value.
-    bool have_mark = false;
-    double mark_us = 0.0;
-    const int sync_rank = options.rank < 0 ? 0 : options.rank;
-    for (const ClockMark& mark : clock_marks()) {
-      if (mark.rank == sync_rank) {
-        have_mark = true;
-        mark_us = (static_cast<double>(mark.mark_ns) -
-                   static_cast<double>(t0)) /
-                  1e3;
-      }
-    }
-    if (have_mark) {
-      std::snprintf(buf, sizeof(buf),
-                    "\"clockSync\": {\"rank\": %d, \"mark_us\": %.3f},\n",
-                    sync_rank, mark_us);
-    } else {
-      std::snprintf(buf, sizeof(buf), "\"clockSync\": {\"rank\": %d},\n",
-                    sync_rank);
-    }
-    out += buf;
-  }
-  out += "\"traceEvents\": [\n";
-  if (options.rank < 0) {
-    out +=
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-        "\"args\": {\"name\": \"apamm\"}}";
-  } else {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-                  "\"tid\": 0, \"args\": {\"name\": \"apamm rank %d\"}}",
-                  options.rank);
-    out += buf;
-  }
-  for (int tid = 0; tid <= max_tid && !selected.empty(); ++tid) {
-    char buf[96];
+  out.reserve(events.size() * 96 + 512);
+  out += "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  out +=
+      "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+      "\"args\": {\"name\": \"apamm\"}}";
+  for (std::size_t tid = 0; tid < tid_rank.size(); ++tid) {
+    const int rank = tid_rank[tid];
+    char buf[112];
     std::snprintf(buf, sizeof(buf),
                   ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-                  "\"tid\": %d, \"args\": {\"name\": \"worker %d\"}}",
-                  tid, tid);
+                  "\"tid\": %zu, \"args\": {\"name\": \"%s %d\"}}",
+                  tid, rank >= 0 ? "rank" : "thread",
+                  rank >= 0 ? rank : static_cast<int>(tid));
     out += buf;
   }
-  for (const TraceEventView* evp : selected) {
-    const TraceEventView& ev = *evp;
+  for (const TraceEventView& ev : events) {
     char buf[160];
     if (ev.kind != TraceEventKind::kSpan) {
       // Flow arrow halves: "s" leaves the sender, "f" (bp=e) binds to the
@@ -137,18 +80,13 @@ std::string chrome_trace_json(const TraceExportOptions& options) {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  return write_chrome_trace(path, {});
-}
-
-bool write_chrome_trace(const std::string& path,
-                        const TraceExportOptions& options) {
   if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "obs: cannot open trace output %s\n", path.c_str());
     return false;
   }
-  const std::string json = chrome_trace_json(options);
+  const std::string json = chrome_trace_json();
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   std::fclose(f);
   if (!ok) std::fprintf(stderr, "obs: short write to %s\n", path.c_str());

@@ -91,8 +91,8 @@ class APAMM_CAPABILITY("mutex") Mutex {
 
 /// Scoped lock over apa::Mutex, relockable: unlock()/lock() members support
 /// the poll-loop pattern (drop the lock around a slow callback, reacquire
-/// afterwards) used by ControlBlock::join_rewind, ShardLoader::prefetch_loop
-/// and MetricsPublisher. The destructor releases only if currently held.
+/// afterwards) used by ControlBlock::join_rewind and
+/// ShardLoader::prefetch_loop. The destructor releases only if currently held.
 /// Bodies use the raw std::mutex (friend access) so the analysis trusts the
 /// declared attributes instead of double-counting the underlying acquire.
 class APAMM_SCOPED_CAPABILITY MutexLock {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "dist/control.h"
+#include "obs/trace.h"
 
 namespace apa::dist {
 namespace {
@@ -206,6 +208,32 @@ TEST(AllreduceMean, RewindWithdrawsTheWaitingContribution) {
   ASSERT_EQ(second1, CollectiveStatus::kOk);
   EXPECT_EQ(fresh0, (std::vector<float>{4.0f, 6.0f}));
   EXPECT_EQ(fresh1, fresh0);
+}
+
+TEST(AllreduceMean, FlowIdsStayUniqueAcrossControlBlocks) {
+  // One trace can hold several train_data_parallel calls, each with its own
+  // control block and steps counted from 0: the same (rank, step, round) in
+  // two blocks must not draw one arrow between them.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  obs::reset_trace();
+  obs::set_tracing(true);
+  for (int block = 0; block < 2; ++block) {
+    // Rank 1 arrives last, so rank 0 publishes and waits (the "s" half) and
+    // rank 1 consumes its contribution (the "f" half).
+    run_ramps(2, 4, /*absent=*/{}, /*late=*/1, /*late_ms=*/20);
+  }
+  obs::set_tracing(false);
+  std::multiset<std::int64_t> flow_out;
+  std::multiset<std::int64_t> flow_in;
+  for (const obs::TraceEventView& ev : obs::trace_events()) {
+    if (ev.kind == obs::TraceEventKind::kFlowOut) flow_out.insert(ev.id);
+    if (ev.kind == obs::TraceEventKind::kFlowIn) flow_in.insert(ev.id);
+  }
+  obs::reset_trace();
+  ASSERT_EQ(flow_out.size(), 2u);
+  EXPECT_EQ(std::set<std::int64_t>(flow_out.begin(), flow_out.end()).size(),
+            2u);
+  EXPECT_EQ(flow_in, flow_out);
 }
 
 }  // namespace

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 #include <omp.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -190,6 +195,175 @@ TEST_F(TraceTest, ChromeTraceExportIsBalancedJsonWithAllEvents) {
     ++duration_events;
   }
   EXPECT_EQ(duration_events, obs::trace_events().size());
+}
+
+TEST_F(TraceTest, ChromeTraceNamesTracksByDeclaredRank) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  { APA_TRACE_SCOPE("test.unranked"); }
+  std::thread worker([] {
+    obs::set_thread_rank(3);
+    APA_TRACE_SCOPE("test.ranked");
+  });
+  worker.join();
+  int unranked_tid = -1;
+  for (const obs::TraceEventView& ev : obs::trace_events()) {
+    if (ev.name == "test.unranked") unranked_tid = ev.tid;
+  }
+  ASSERT_GE(unranked_tid, 0);
+  const std::string json = obs::chrome_trace_json();
+  EXPECT_NE(json.find("\"args\": {\"name\": \"rank 3\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"name\": \"thread " +
+                      std::to_string(unranked_tid) + "\"}"),
+            std::string::npos)
+      << json.substr(0, 600);
+}
+
+TEST_F(TraceTest, DeclaredRankIsPerThreadAndTagsItsEvents) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  const int main_rank = obs::thread_rank();
+  int worker_rank = -2;
+  std::thread worker([&worker_rank] {
+    obs::set_thread_rank(5);
+    worker_rank = obs::thread_rank();
+    APA_TRACE_SCOPE("test.rank_tagged");
+  });
+  worker.join();
+  EXPECT_EQ(worker_rank, 5);
+  EXPECT_EQ(obs::thread_rank(), main_rank) << "a worker's rank leaked";
+  int fresh_rank = -2;
+  std::thread fresh([&fresh_rank] {
+    fresh_rank = obs::thread_rank();
+    APA_TRACE_SCOPE("test.rank_untagged");
+  });
+  fresh.join();
+  EXPECT_EQ(fresh_rank, -1);
+  int tagged = 0;
+  int untagged = 0;
+  for (const obs::TraceEventView& ev : obs::trace_events()) {
+    if (ev.name == "test.rank_tagged") {
+      EXPECT_EQ(ev.rank, 5);
+      ++tagged;
+    } else if (ev.name == "test.rank_untagged") {
+      EXPECT_EQ(ev.rank, -1);
+      ++untagged;
+    }
+  }
+  EXPECT_EQ(tagged, 1);
+  EXPECT_EQ(untagged, 1);
+}
+
+TEST_F(TraceTest, ChromeTraceEmitsIdMatchedFlowHalves) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  std::thread sender([] {
+    obs::set_thread_rank(0);
+    APA_TRACE_SCOPE("test.send");
+    APA_TRACE_FLOW_OUT("test.flow", 4242);
+  });
+  sender.join();
+  std::thread receiver([] {
+    obs::set_thread_rank(1);
+    APA_TRACE_SCOPE("test.recv");
+    APA_TRACE_FLOW_IN("test.flow", 4242);
+  });
+  receiver.join();
+  int flow_out = 0;
+  int flow_in = 0;
+  for (const obs::TraceEventView& ev : obs::trace_events()) {
+    if (ev.kind == obs::TraceEventKind::kFlowOut) {
+      EXPECT_EQ(ev.id, 4242);
+      EXPECT_EQ(ev.rank, 0);
+      ++flow_out;
+    } else if (ev.kind == obs::TraceEventKind::kFlowIn) {
+      EXPECT_EQ(ev.id, 4242);
+      EXPECT_EQ(ev.rank, 1);
+      ++flow_in;
+    }
+  }
+  EXPECT_EQ(flow_out, 1);
+  EXPECT_EQ(flow_in, 1);
+  const std::string json = obs::chrome_trace_json();
+  EXPECT_TRUE(balanced_json(json));
+  // The "s" half leaves the sender; the "f" half binds to the receiver's
+  // enclosing slice (bp=e). Both carry the shared id.
+  EXPECT_NE(json.find("\"ph\": \"s\", \"id\": 4242"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\": \"f\", \"bp\": \"e\", \"id\": 4242"),
+            std::string::npos)
+      << json;
+  // Flow halves are not duration slices.
+  std::size_t duration_events = 0;
+  for (std::size_t pos = json.find("\"ph\": \"X\""); pos != std::string::npos;
+       pos = json.find("\"ph\": \"X\"", pos + 1)) {
+    ++duration_events;
+  }
+  EXPECT_EQ(duration_events, 2u);
+}
+
+TEST_F(TraceTest, FlowEventsRecordNothingWhileTracingIsOff) {
+  obs::set_tracing(false);
+  APA_TRACE_FLOW_OUT("test.flow_off", 7);
+  APA_TRACE_FLOW_IN("test.flow_off", 7);
+  EXPECT_TRUE(obs::trace_events().empty());
+  const std::string json = obs::chrome_trace_json();
+  EXPECT_EQ(json.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\": \"f\""), std::string::npos);
+}
+
+TEST_F(TraceTest, ChromeTraceRebasesTimestampsToTheEarliestEvent) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  for (int i = 0; i < 3; ++i) {
+    APA_TRACE_SCOPE("test.rebased");
+  }
+  const std::string json = obs::chrome_trace_json();
+  std::vector<double> ts;
+  const std::string key = "\"ts\": ";
+  for (std::size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + 1)) {
+    ts.push_back(std::stod(json.substr(pos + key.size())));
+  }
+  ASSERT_EQ(ts.size(), 3u);
+  EXPECT_DOUBLE_EQ(*std::min_element(ts.begin(), ts.end()), 0.0);
+  for (const double t : ts) EXPECT_GE(t, 0.0);
+}
+
+TEST_F(TraceTest, ChromeTraceCarriesScopeIdsAsArgs) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  { APA_TRACE_SCOPE_ID("test.with_id", 17); }
+  { APA_TRACE_SCOPE("test.without_id"); }
+  const std::string json = obs::chrome_trace_json();
+  const std::size_t with_id = json.find("\"test.with_id\"");
+  const std::size_t without_id = json.find("\"test.without_id\"");
+  ASSERT_NE(with_id, std::string::npos);
+  ASSERT_NE(without_id, std::string::npos);
+  const std::string with_line =
+      json.substr(with_id, json.find('\n', with_id) - with_id);
+  const std::string without_line =
+      json.substr(without_id, json.find('\n', without_id) - without_id);
+  EXPECT_NE(with_line.find("\"args\": {\"id\": 17}"), std::string::npos)
+      << with_line;
+  EXPECT_EQ(without_line.find("\"args\""), std::string::npos) << without_line;
+}
+
+TEST_F(TraceTest, WriteChromeTraceWritesTheExportedDocument) {
+  { APA_TRACE_SCOPE("test.written"); }
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("apamm_trace_write_" + std::to_string(::getpid()) + ".json");
+  ASSERT_TRUE(obs::write_chrome_trace(path.string()));
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), obs::chrome_trace_json());
+  std::filesystem::remove(path);
+}
+
+TEST_F(TraceTest, WriteChromeTraceEmptyPathIsANoOpSuccess) {
+  EXPECT_TRUE(obs::write_chrome_trace(""));
+}
+
+TEST_F(TraceTest, WriteChromeTraceFailsIntoAMissingDirectory) {
+  EXPECT_FALSE(
+      obs::write_chrome_trace("/nonexistent_apamm_dir/sub/trace.json"));
 }
 
 TEST_F(TraceTest, EmptyRecordingStillExportsValidDocument) {

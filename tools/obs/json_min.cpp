@@ -1,8 +1,5 @@
 #include "obs/json_min.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -206,79 +203,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void append_quoted(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_json(const JsonValue& v, std::string& out) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull:
-      out += "null";
-      return;
-    case JsonValue::Kind::kBool:
-      out += v.boolean ? "true" : "false";
-      return;
-    case JsonValue::Kind::kNumber: {
-      char buf[40];
-      if (std::isfinite(v.number) &&
-          v.number == std::floor(v.number) && std::fabs(v.number) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v.number));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-      }
-      out += buf;
-      return;
-    }
-    case JsonValue::Kind::kString:
-      append_quoted(v.str, out);
-      return;
-    case JsonValue::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& e : v.array) {
-        if (!first) out += ',';
-        first = false;
-        append_json(e, out);
-      }
-      out += ']';
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : v.object) {
-        if (!first) out += ',';
-        first = false;
-        append_quoted(key, out);
-        out += ": ";
-        append_json(member, out);
-      }
-      out += '}';
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -287,11 +211,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-JsonValue* JsonValue::find(std::string_view key) {
-  return const_cast<JsonValue*>(
-      static_cast<const JsonValue*>(this)->find(key));
 }
 
 double JsonValue::num_or(double fallback) const {
@@ -330,12 +249,6 @@ bool parse_json(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue{};
   Parser parser(text, error);
   return parser.parse(out);
-}
-
-std::string to_json(const JsonValue& value) {
-  std::string out;
-  append_json(value, out);
-  return out;
 }
 
 bool read_file(const std::string& path, std::string* out, std::string* error) {

@@ -1,10 +1,10 @@
 #pragma once
-// Minimal JSON reader for the observability tooling (trace_merge,
-// health_report). The repo's obs layer only *writes* JSON (obs/json.h); the
-// postmortem tools need to read back what the exporters produced — Chrome
-// trace files, telemetry JSONL lines, rule_lint --bounds-json — so this is a
-// small recursive-descent parser over exactly the JSON subset those emitters
-// use (no surrogate-pair escapes, numbers via strtod). Not a general-purpose
+// Minimal JSON reader for the observability tooling (health_report). The
+// repo's obs layer only *writes* JSON (obs/json.h); the postmortem tools and
+// tests need to read back what the exporters produced — telemetry JSONL
+// lines, rule_lint --bounds-json, Chrome trace files — so this is a small
+// recursive-descent parser over exactly the JSON subset those emitters use
+// (no surrogate-pair escapes, numbers via strtod). Not a general-purpose
 // library; errors carry a byte offset for postmortem-grade diagnostics.
 
 #include <cstddef>
@@ -23,7 +23,7 @@ struct JsonValue {
   double number = 0.0;
   std::string str;
   std::vector<JsonValue> array;
-  /// Insertion-ordered so re-serialized events keep their field order.
+  /// Members in document order.
   std::vector<std::pair<std::string, JsonValue>> object;
 
   [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
@@ -31,7 +31,6 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  [[nodiscard]] JsonValue* find(std::string_view key);
 
   // Typed accessors with fallbacks (wrong-kind values yield the fallback).
   [[nodiscard]] double num_or(double fallback) const;
@@ -51,11 +50,6 @@ struct JsonValue {
 /// an error). Returns false and fills `error` ("offset N: message") on any
 /// syntax problem.
 bool parse_json(std::string_view text, JsonValue* out, std::string* error);
-
-/// Re-serializes a value (compact, field order preserved, doubles printed
-/// round-trip-exact or as integers when integral). The merge tool uses this
-/// to emit events it only partially rewrote.
-[[nodiscard]] std::string to_json(const JsonValue& value);
 
 /// Reads a whole file; false (with `error` set) when unreadable.
 bool read_file(const std::string& path, std::string* out, std::string* error);
